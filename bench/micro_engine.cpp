@@ -12,6 +12,7 @@
 
 #include "cluster/cluster.hpp"
 #include "condor/pool.hpp"
+#include "container/image.hpp"
 #include "container/registry.hpp"
 #include "core/testbed.hpp"
 #include "k8s/api_server.hpp"
@@ -164,8 +165,7 @@ void BM_ApiServerWatchFanout(benchmark::State& state) {
 }
 BENCHMARK(BM_ApiServerWatchFanout)->Arg(4)->Arg(32);
 
-// Scheduler burst: N pending pods placed over an 8-node cluster — the
-// single-pass usage accumulation over the pod store.
+// Scheduler burst: N pending pods placed over an 8-node cluster.
 void BM_SchedulerBurst(benchmark::State& state) {
   const int pods = static_cast<int>(state.range(0));
   for (auto _ : state) {
@@ -356,6 +356,82 @@ void BM_SchedulerScaled(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * pods);
 }
 BENCHMARK(BM_SchedulerScaled)->Arg(2048);
+
+// One pod placed over a wide cluster through KubeCluster, with image
+// locality on (half the workers cache the image): the cost of one
+// scheduler pass over N nodes. Each iteration creates a pod and steps the
+// engine until it is bound; the kubelet's realize work for the previous
+// pod rides along as a small constant.
+void BM_SchedulePodScaled(benchmark::State& state) {
+  const auto nodes = static_cast<std::uint32_t>(state.range(0));
+  sim::Simulation sim;
+  auto topo = workload::make_scaled_topology(sim, nodes, 8);
+  container::Registry hub{topo.cluster->node(0)};
+  const container::Image image = container::make_task_image("fn");
+  hub.push(image);
+  k8s::KubeCluster kube{*topo.cluster, hub, topo.workers};
+  for (std::size_t i = 0; i < topo.workers.size(); i += 2) {
+    kube.worker(topo.workers[i]->name()).cache->seed_image(image);
+  }
+  std::uint64_t n = 0;
+  for (auto _ : state) {
+    k8s::Pod p;
+    p.name = "pod-" + std::to_string(n++);
+    p.container.image = "fn:latest";
+    p.container.memory_bytes = 256e6;
+    p.cpu_request = 0.25;
+    p.memory_request = 256e6;
+    const std::string name = p.name;
+    kube.api().create_pod(std::move(p));
+    const k8s::Pod* pod = kube.api().get_pod(name);
+    while (pod->node_name.empty() && sim.step()) {
+    }
+    benchmark::DoNotOptimize(pod->node_name.data());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SchedulePodScaled)->Arg(1024)->Arg(4096)->Arg(10240);
+
+// Endpoints upkeep under readiness churn: N ready pods behind one service,
+// one pod flipping ready per iteration, delivered to the endpoints
+// controller. A rebuild from the pod store matches the selector against
+// all N pods per pod event; the incremental ready set pays an O(log N)
+// update plus the publish copy.
+void BM_EndpointsChurn(benchmark::State& state) {
+  const int pods = static_cast<int>(state.range(0));
+  sim::Simulation sim;
+  k8s::ApiServer api{sim};
+  k8s::EndpointsController ctl{api};
+  k8s::Service svc;
+  svc.name = "fn";
+  svc.selector = {{"app", "fn"}};
+  api.create_service(svc);
+  std::vector<std::string> names;
+  for (int i = 0; i < pods; ++i) {
+    k8s::Pod p;
+    p.name = "fn-" + std::to_string(i);
+    p.labels = {{"app", "fn"}};
+    names.push_back(p.name);
+    api.create_pod(std::move(p));
+    api.mutate_pod(names.back(), [i](k8s::Pod& mp) {
+      mp.node_name = "node-" + std::to_string(i % 64);
+      mp.phase = k8s::PodPhase::kRunning;
+      mp.host_net_id = static_cast<net::NodeId>(i % 64);
+      mp.port = 10000;
+      mp.ready = true;
+    });
+  }
+  sim.run();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    api.mutate_pod(names[i++ % names.size()],
+                   [](k8s::Pod& p) { p.ready = !p.ready; });
+    sim.run();
+    benchmark::DoNotOptimize(ctl.refreshes());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EndpointsChurn)->Arg(256)->Arg(1024);
 
 // ---- 10k-node serving-regime hot paths -----------------------------------
 //

@@ -7,6 +7,7 @@
 #        scripts/tier1.sh --asan [build-dir]     (default: ./build-asan)
 #        scripts/tier1.sh --chaos [build-dir]    (default: ./build)
 #        scripts/tier1.sh --fuzz [build-dir]     (default: ./build)
+#        scripts/tier1.sh --scale [build-dir]    (default: ./build)
 #
 # --tsan builds the engine + tests under ThreadSanitizer and runs the
 # SweepRunner suite — the only code that spawns threads. Keep it green:

@@ -6,38 +6,66 @@
 
 namespace sf::container {
 
+namespace {
+
+/// Position of `id` in an id-sorted layer list.
+template <typename Layers>
+auto find_layer(Layers& layers, sim::ObjectId id) {
+  return std::lower_bound(
+      layers.begin(), layers.end(), id,
+      [](const auto& l, sim::ObjectId key) { return l.id < key; });
+}
+
+}  // namespace
+
+bool ImageCache::cached(sim::ObjectId id) const {
+  const auto it = find_layer(layers_, id);
+  return it != layers_.end() && it->id == id;
+}
+
+void ImageCache::put(CachedLayer layer) {
+  const auto it = find_layer(layers_, layer.id);
+  if (it != layers_.end() && it->id == layer.id) {
+    it->bytes = layer.bytes;
+  } else {
+    layers_.insert(it, layer);
+  }
+}
+
+bool ImageCache::has_layers(const std::vector<sim::ObjectId>& ids) const {
+  return std::all_of(ids.begin(), ids.end(),
+                     [this](sim::ObjectId id) { return cached(id); });
+}
+
 bool ImageCache::has_image(const std::string& image_name,
                            const Registry& registry) const {
-  const auto manifest = registry.manifest(image_name);
-  if (!manifest) return false;
-  for (const auto& layer : manifest->layers) {
-    if (!layers_.contains(layer.digest)) return false;
-  }
-  return true;
+  const std::vector<sim::ObjectId>* ids = registry.layer_ids(image_name);
+  return ids != nullptr && has_layers(*ids);
 }
 
 double ImageCache::cached_bytes() const {
   double total = 0;
-  for (const auto& [digest, bytes] : layers_) total += bytes;
+  for (const CachedLayer& l : layers_) total += l.bytes;
   return total;
 }
 
 void ImageCache::seed_image(const Image& image) {
   for (const auto& layer : image.layers) {
-    layers_[layer.digest] = layer.bytes;
+    put({node_.sim().intern(layer.digest), layer.bytes});
   }
 }
 
 void ImageCache::ensure_image(const std::string& image_name,
                               Registry& registry, PullCallback on_done) {
-  const auto manifest = registry.manifest(image_name);
-  if (!manifest) {
+  const Image* manifest = registry.manifest(image_name);
+  if (manifest == nullptr) {
     on_done(false);
     return;
   }
+  const std::vector<sim::ObjectId>& ids = *registry.layer_ids(image_name);
   double missing_bytes = 0;
-  for (const auto& layer : manifest->layers) {
-    if (!layers_.contains(layer.digest)) missing_bytes += layer.bytes;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (!cached(ids[i])) missing_bytes += manifest->layers[i].bytes;
   }
   if (missing_bytes <= 0) {
     on_done(true);
@@ -51,12 +79,20 @@ void ImageCache::ensure_image(const std::string& image_name,
     return;
   }
   ++pulls_started_;
-  start_download(image_name, *manifest, missing_bytes, registry, 0);
+  // The pull lands the manifest as it is now, even if a re-push replaces
+  // it while the bytes are in flight.
+  std::vector<CachedLayer> layers;
+  layers.reserve(ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    layers.push_back({ids[i], manifest->layers[i].bytes});
+  }
+  start_download(image_name, std::move(layers), missing_bytes, registry, 0);
 }
 
 void ImageCache::start_download(const std::string& image_name,
-                                const Image& manifest, double missing_bytes,
-                                Registry& registry, int attempt) {
+                                std::vector<CachedLayer> layers,
+                                double missing_bytes, Registry& registry,
+                                int attempt) {
   auto& sim = node_.sim();
   if (!registry.available(sim.now())) {
     // Registry outage: capped exponential backoff, then give up — the
@@ -70,10 +106,10 @@ void ImageCache::start_download(const std::string& image_name,
     }
     ++pull_retries_;
     const double delay = pull_retry_.backoff_s(attempt);
-    sim.call_in(delay, [this, image_name, manifest, missing_bytes, &registry,
+    sim.call_in(delay, [this, image_name, layers, missing_bytes, &registry,
                         attempt] {
       if (!in_flight_.contains(image_name)) return;  // crashed meanwhile
-      start_download(image_name, manifest, missing_bytes, registry,
+      start_download(image_name, layers, missing_bytes, registry,
                      attempt + 1);
     });
     return;
@@ -81,11 +117,9 @@ void ImageCache::start_download(const std::string& image_name,
   // Download the missing bytes from the registry, then extract to disk.
   network_.transfer(
       registry.net_id(), node_.net_id(), missing_bytes,
-      [this, image_name, manifest, missing_bytes] {
-        node_.disk_io(missing_bytes, [this, image_name, manifest] {
-          for (const auto& layer : manifest.layers) {
-            layers_[layer.digest] = layer.bytes;
-          }
+      [this, image_name, layers, missing_bytes] {
+        node_.disk_io(missing_bytes, [this, image_name, layers] {
+          for (const CachedLayer& layer : layers) put(layer);
           finish_pull(image_name, true);
         });
       });

@@ -39,9 +39,11 @@ class ImageCache {
   [[nodiscard]] bool has_image(const std::string& image_name,
                                const Registry& registry) const;
 
-  [[nodiscard]] bool has_layer(const std::string& digest) const {
-    return layers_.contains(digest);
-  }
+  /// True when every listed layer (interned digests, as
+  /// Registry::layer_ids returns them) is cached: a few integer binary
+  /// searches, no string hashing or compares, no manifest copy.
+  [[nodiscard]] bool has_layers(const std::vector<sim::ObjectId>& ids) const;
+
   [[nodiscard]] std::size_t layer_count() const { return layers_.size(); }
   [[nodiscard]] double cached_bytes() const;
 
@@ -75,13 +77,22 @@ class ImageCache {
   void handle_node_crash();
 
  private:
-  void start_download(const std::string& image_name, const Image& manifest,
-                      double missing_bytes, Registry& registry, int attempt);
+  struct CachedLayer {
+    sim::ObjectId id = sim::kEmptyId;  ///< interned digest
+    double bytes = 0;
+  };
+
+  [[nodiscard]] bool cached(sim::ObjectId id) const;
+  /// Inserts `layer`, or overwrites the bytes of the same digest.
+  void put(CachedLayer layer);
+  void start_download(const std::string& image_name,
+                      std::vector<CachedLayer> layers, double missing_bytes,
+                      Registry& registry, int attempt);
   void finish_pull(const std::string& image_name, bool ok);
 
   cluster::Node& node_;
   net::FlowNetwork& network_;
-  std::map<std::string, double> layers_;  // digest → bytes
+  std::vector<CachedLayer> layers_;  ///< sorted by id
   std::map<std::string, std::vector<PullCallback>> in_flight_;
   std::uint64_t pulls_started_ = 0;
   std::uint64_t pulls_coalesced_ = 0;

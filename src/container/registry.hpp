@@ -1,11 +1,13 @@
 #pragma once
 
 #include <map>
-#include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "cluster/node.hpp"
 #include "container/image.hpp"
+#include "sim/interner.hpp"
 
 namespace sf::container {
 
@@ -22,14 +24,31 @@ class Registry {
   [[nodiscard]] cluster::Node& node() { return node_; }
   [[nodiscard]] net::NodeId net_id() const { return node_.net_id(); }
 
-  /// Publishes (or replaces) an image.
-  void push(Image image) { images_[image.name] = std::move(image); }
+  /// Publishes (or replaces) an image. Its layer digests are interned in
+  /// the simulation's id table, so caches test layers by id, not string.
+  void push(Image image) {
+    Stored& stored = images_[image.name];
+    stored.layer_ids.clear();
+    for (const auto& layer : image.layers) {
+      stored.layer_ids.push_back(node_.sim().intern(layer.digest));
+    }
+    stored.image = std::move(image);
+  }
 
-  /// Manifest lookup by "repo:tag".
-  [[nodiscard]] std::optional<Image> manifest(const std::string& name) const {
-    auto it = images_.find(name);
-    if (it == images_.end()) return std::nullopt;
-    return it->second;
+  /// Manifest lookup by "repo:tag", without a copy; nullptr when absent.
+  /// The pointer stays valid for the registry's lifetime (a re-push of the
+  /// same name updates the pointee in place).
+  [[nodiscard]] const Image* manifest(const std::string& name) const {
+    const auto it = images_.find(name);
+    return it == images_.end() ? nullptr : &it->second.image;
+  }
+
+  /// The manifest's layer digests as interned ids, in layer order; nullptr
+  /// when absent. Same lifetime as manifest().
+  [[nodiscard]] const std::vector<sim::ObjectId>* layer_ids(
+      const std::string& name) const {
+    const auto it = images_.find(name);
+    return it == images_.end() ? nullptr : &it->second.layer_ids;
   }
 
   [[nodiscard]] bool has(const std::string& name) const {
@@ -53,8 +72,13 @@ class Registry {
   [[nodiscard]] double outage_until() const { return outage_until_; }
 
  private:
+  struct Stored {
+    Image image;
+    std::vector<sim::ObjectId> layer_ids;  ///< parallel to image.layers
+  };
+
   cluster::Node& node_;
-  std::map<std::string, Image> images_;
+  std::map<std::string, Stored> images_;
   double outage_until_ = 0;
 };
 

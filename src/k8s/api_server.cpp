@@ -36,17 +36,16 @@ void ApiServer::drop_recovery_pending(std::uint32_t slot) {
 
 void ApiServer::sync_node_tracking(std::uint32_t slot) {
   NodeSlot& ns = node_slots_[slot];
-  node_flags_[slot] =
-      static_cast<std::uint8_t>((ns.obj != nullptr ? kNodeRegistered : 0) |
-                                (ns.obj != nullptr && ns.obj->ready
-                                     ? kNodeReady
-                                     : 0));
-  if (ns.obj != nullptr && ns.obj->ready) {
+  const bool registered = ns.obj.has_value();
+  const bool ready = registered && ns.obj->ready;
+  node_flags_[slot] = static_cast<std::uint8_t>(
+      (registered ? kNodeRegistered : 0) | (ready ? kNodeReady : 0));
+  if (ready) {
     lease_index_.renew(slot, node_lease_[slot]);  // tracks when untracked
     drop_recovery_pending(slot);
   } else {
     lease_index_.untrack(slot);
-    if (ns.obj != nullptr &&
+    if (registered &&
         std::find(recovery_pending_.begin(), recovery_pending_.end(), slot) ==
             recovery_pending_.end()) {
       recovery_pending_.push_back(slot);
@@ -56,10 +55,16 @@ void ApiServer::sync_node_tracking(std::uint32_t slot) {
 
 void ApiServer::register_node(NodeObject node) {
   const std::uint32_t slot = node_slot(node.name);
-  NodeObject& stored = nodes_[node.name];
-  stored = std::move(node);
   NodeSlot& ns = node_slots_[slot];
-  ns.obj = &stored;
+  if (!ns.obj.has_value()) {
+    const auto pos = std::lower_bound(
+        node_order_.begin(), node_order_.end(), ns.name,
+        [this](std::uint32_t s, const std::string& name) {
+          return node_slots_[s].name < name;
+        });
+    node_order_.insert(pos, slot);
+  }
+  ns.obj = std::move(node);
   node_lease_[slot] = sim_.now();
   sync_node_tracking(slot);
 }
@@ -68,7 +73,7 @@ bool ApiServer::set_node_ready(const std::string& name, bool ready) {
   const std::uint32_t slot = find_node_slot(name);
   if (slot == kNoSlot) return false;
   NodeSlot& ns = node_slots_[slot];
-  if (ns.obj == nullptr || ns.obj->ready == ready) return false;
+  if (!ns.obj.has_value() || ns.obj->ready == ready) return false;
   ns.obj->ready = ready;
   sync_node_tracking(slot);
   sim_.trace().record(sim_.now(), "api", ready ? "node_ready" : "node_not_ready",
@@ -84,7 +89,7 @@ void ApiServer::renew_node_lease(const std::string& name) {
 
 double ApiServer::node_lease(const std::string& name) const {
   const std::uint32_t slot = find_node_slot(name);
-  if (slot == kNoSlot || node_slots_[slot].obj == nullptr) return -1.0;
+  if (slot == kNoSlot || !node_slots_[slot].obj.has_value()) return -1.0;
   return node_lease_[slot];
 }
 
@@ -115,6 +120,7 @@ void ApiServer::ensure_pod_side(std::uint32_t pod_slot) {
     pod_node_pos_.resize(pod_slot + 1, 0);
     pod_owner_slot_.resize(pod_slot + 1, kNoSlot);
     pod_owner_pos_.resize(pod_slot + 1, 0);
+    pod_ready_in_.resize(pod_slot + 1);
   }
 }
 
@@ -189,6 +195,7 @@ Uid ApiServer::create_pod(Pod pod) {
   if (usage_counted(*stored)) {
     add_usage(pod_node_slot_[pslot], *stored);
   }
+  // A Pending pod serves no endpoints: ready sets are untouched.
   notify_pod(EventType::kAdded, *stored, pod_node_slot_[pslot]);
   return stored->uid;
 }
@@ -228,6 +235,7 @@ bool ApiServer::mutate_pod(const std::string& name,
       if (now) add_usage(new_node, *pod);
     }
   }
+  sync_ready_sets(pslot);
   notify_pod(EventType::kModified, *pod, new_node);
   return true;
 }
@@ -235,11 +243,6 @@ bool ApiServer::mutate_pod(const std::string& name,
 void ApiServer::watch_pods_on_node(const std::string& node, PodWatch watch) {
   node_slots_[node_slot(node)].watches.push_back(
       SeqPodWatch{watch_seq_++, std::move(watch)});
-}
-
-ApiServer::NodeUsage ApiServer::node_usage(const std::string& node) const {
-  const std::uint32_t slot = find_node_slot(node);
-  return slot == kNoSlot ? NodeUsage{} : node_slots_[slot].usage;
 }
 
 void ApiServer::add_usage(std::uint32_t node_slot, const Pod& pod) {
@@ -289,6 +292,7 @@ void ApiServer::delete_pod(const std::string& name) {
   if (!was && usage_counted(*pod)) {
     add_usage(pod_node_slot_[pslot], *pod);
   }
+  leave_ready_sets(pslot, name);
   notify_pod(EventType::kModified, *pod, pod_node_slot_[pslot]);
   if (never_ran) {
     // No kubelet owns it; finalize directly.
@@ -302,6 +306,7 @@ void ApiServer::finalize_pod_deletion(const std::string& name) {
   const std::uint32_t nslot = pod_node_slot_[pslot];
   unlink_pod_node(pslot);
   unlink_pod_owner(pslot);
+  leave_ready_sets(pslot, name);
   std::optional<Pod> removed = pods_.take(name);
   ++pods_finalized_total_;
   assert(pods_created_total_ - pods_finalized_total_ == pods_.size());
@@ -363,11 +368,30 @@ Uid ApiServer::create_service(Service svc) {
   } else {
     endpoints_.insert(name, Endpoints{name, {}});
   }
+  // Its ready set starts from one scan of the pod store (name order, so
+  // already sorted); from here on pod mutations keep it current.
+  if (res.slot >= ready_sets_.size()) ready_sets_.resize(res.slot + 1);
+  ReadySet& rs = ready_sets_[res.slot];
+  rs = ReadySet{};
+  pods_.for_each_slot([&](std::uint32_t pslot, const Pod& pod) {
+    if (pod.ready && pod.phase == PodPhase::kRunning &&
+        selector_matches(res.obj->selector, pod.labels)) {
+      rs.ready.push_back(Endpoint{pod.name, pod.host_net_id, pod.port});
+      pod_ready_in_[pslot].push_back(res.slot);
+    }
+  });
   return res.obj->uid;
 }
 
 void ApiServer::delete_service(const std::string& name) {
-  services_.take(name);
+  const std::uint32_t slot = services_.slot_of(name);
+  if (slot != kNoSlot) {
+    for (const Endpoint& ep : ready_sets_[slot].ready) {
+      std::erase(pod_ready_in_[pods_.slot_of(ep.pod_name)], slot);
+    }
+    ready_sets_[slot] = ReadySet{};
+    services_.take(name);
+  }
   std::optional<Endpoints> removed = endpoints_.take(name);
   if (removed.has_value()) {
     notify_endpoints(EventType::kDeleted, *removed);
@@ -378,16 +402,13 @@ const Service* ApiServer::get_service(const std::string& name) const {
   return services_.find(name);
 }
 
-std::vector<const Service*> ApiServer::list_services() const {
-  std::vector<const Service*> out;
-  out.reserve(services_.size());
-  services_.for_each([&](const Service& svc) { out.push_back(&svc); });
-  return out;
-}
-
 void ApiServer::set_endpoints(Endpoints eps) {
   Endpoints* existing = endpoints_.find(eps.service_name);
   if (existing != nullptr && existing->ready == eps.ready) return;  // no change
+  if (const std::uint32_t slot = services_.slot_of(eps.service_name);
+      slot != kNoSlot) {
+    ready_sets_[slot].dirty = true;  // the next publish must compare again
+  }
   const EventType type =
       existing != nullptr ? EventType::kModified : EventType::kAdded;
   if (existing != nullptr) {
@@ -403,6 +424,82 @@ void ApiServer::set_endpoints(Endpoints eps) {
 const Endpoints* ApiServer::get_endpoints(
     const std::string& service_name) const {
   return endpoints_.find(service_name);
+}
+
+const std::vector<Endpoint>* ApiServer::ready_endpoints(
+    const std::string& service_name) const {
+  const std::uint32_t slot = services_.slot_of(service_name);
+  return slot == kNoSlot ? nullptr : &ready_sets_[slot].ready;
+}
+
+void ApiServer::publish_ready_endpoints(const std::string& service_name) {
+  const std::uint32_t slot = services_.slot_of(service_name);
+  if (slot == kNoSlot) return;
+  ReadySet& rs = ready_sets_[slot];
+  if (!rs.dirty) return;  // unchanged since it last matched the published
+  rs.dirty = false;
+  // create_service made the Endpoints object; only delete_service drops it.
+  Endpoints* published = endpoints_.find(service_name);
+  assert(published != nullptr);
+  if (published->ready == rs.ready) return;
+  published->ready = rs.ready;
+  notify_endpoints(EventType::kModified, *published);
+}
+
+// ---- Ready sets ----------------------------------------------------------
+
+namespace {
+
+/// Position of `pod` in a pod-name-sorted endpoint list.
+std::vector<Endpoint>::iterator find_endpoint(std::vector<Endpoint>& list,
+                                              const std::string& pod) {
+  return std::lower_bound(list.begin(), list.end(), pod,
+                          [](const Endpoint& ep, const std::string& name) {
+                            return ep.pod_name < name;
+                          });
+}
+
+}  // namespace
+
+void ApiServer::leave_ready_sets(std::uint32_t pod_slot,
+                                 const std::string& pod_name) {
+  for (const std::uint32_t svc : pod_ready_in_[pod_slot]) {
+    ReadySet& rs = ready_sets_[svc];
+    rs.ready.erase(find_endpoint(rs.ready, pod_name));
+    rs.dirty = true;
+  }
+  pod_ready_in_[pod_slot].clear();
+}
+
+void ApiServer::sync_ready_sets(std::uint32_t pod_slot) {
+  const Pod& pod = pods_.at(pod_slot);
+  std::vector<std::uint32_t>& in = pod_ready_in_[pod_slot];
+  if (!pod.ready || pod.phase != PodPhase::kRunning) {
+    leave_ready_sets(pod_slot, pod.name);
+    return;
+  }
+  // A serving pod: re-match every selector, since the mutation may have
+  // relabelled it, and refresh its endpoint where it stays listed.
+  services_.for_each_slot([&](std::uint32_t svc, const Service& s) {
+    const bool listed = std::find(in.begin(), in.end(), svc) != in.end();
+    const bool matches = selector_matches(s.selector, pod.labels);
+    if (!listed && !matches) return;
+    ReadySet& rs = ready_sets_[svc];
+    const auto it = find_endpoint(rs.ready, pod.name);
+    if (!listed) {
+      rs.ready.insert(it, Endpoint{pod.name, pod.host_net_id, pod.port});
+      in.push_back(svc);
+    } else if (!matches) {
+      rs.ready.erase(it);
+      std::erase(in, svc);
+    } else if (it->net_id != pod.host_net_id || it->port != pod.port) {
+      it->net_id = pod.host_net_id;
+      it->port = pod.port;
+    } else {
+      return;
+    }
+    rs.dirty = true;
+  });
 }
 
 // ---- Watch delivery ----------------------------------------------------

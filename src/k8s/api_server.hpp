@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -38,7 +37,14 @@ enum class EventType { kAdded, kModified, kDeleted };
 /// their node slot through side arrays, so the per-event path never hashes
 /// a node name. Lease deadlines are mirrored into a calendarized
 /// LeaseIndex so the lifecycle sweep pops only expired leases instead of
-/// rescanning every node.
+/// rescanning every node. Registered node slots are also kept in name
+/// order, so a full node scan (the scheduler's) reads every node by slot
+/// in the order a name-keyed map would iterate.
+///
+/// Each Service also has a live ready set — the endpoints a full rebuild
+/// from the pod store would list — maintained beside the usage aggregates
+/// with every pod and service mutation, so publishing a service's
+/// Endpoints costs O(changed), not a selector match over every pod.
 class ApiServer {
  public:
   /// Sentinel for "no slot" in the node-slot / pod-slot spaces (same value
@@ -58,9 +64,30 @@ class ApiServer {
 
   using NodeWatch = std::function<void(EventType, const NodeObject&)>;
 
+  /// Per-node resource bookkeeping, maintained synchronously with every
+  /// pod store mutation (created/bound/failed/finalized): the sum of
+  /// cpu/memory requests of non-Failed pods bound to the node — the same
+  /// aggregate a full pod-store rescan would produce, kept O(changed).
+  struct NodeUsage {
+    double cpu = 0;
+    double memory = 0;
+    std::uint32_t pods = 0;
+  };
+
+  /// Registers (or re-registers) a node; re-registration replaces the
+  /// object and keeps the node's slot and name-order position.
   void register_node(NodeObject node);
-  [[nodiscard]] const std::map<std::string, NodeObject>& nodes() const {
-    return nodes_;
+
+  /// Visits every registered node in ascending name order — the order the
+  /// former name-keyed node map iterated — as fn(slot, node, usage), read
+  /// in place by slot: no name hashing, no map walk. The callback must not
+  /// register nodes.
+  template <typename F>
+  void for_each_node(F&& fn) const {
+    for (const std::uint32_t slot : node_order_) {
+      const NodeSlot& ns = node_slots_[slot];
+      fn(slot, *ns.obj, ns.usage);
+    }
   }
 
   /// Flips a node's Ready condition and notifies node watchers
@@ -205,17 +232,6 @@ class ApiServer {
   /// registration order, exactly as if the watcher filtered by itself.
   void watch_pods_on_node(const std::string& node, PodWatch watch);
 
-  /// Per-node resource bookkeeping, maintained synchronously with every
-  /// pod store mutation (created/bound/failed/finalized): the sum of
-  /// cpu/memory requests of non-Failed pods bound to the node — the same
-  /// aggregate a full pod-store rescan would produce, kept O(changed).
-  struct NodeUsage {
-    double cpu = 0;
-    double memory = 0;
-    std::uint32_t pods = 0;
-  };
-  [[nodiscard]] NodeUsage node_usage(const std::string& node) const;
-
   // ---- Deployments ----------------------------------------------------
 
   using DeploymentWatch = std::function<void(EventType, const Deployment&)>;
@@ -245,10 +261,23 @@ class ApiServer {
     services_.for_each(std::forward<F>(fn));
   }
 
-  [[nodiscard]] std::vector<const Service*> list_services() const;
   void set_endpoints(Endpoints eps);
   [[nodiscard]] const Endpoints* get_endpoints(
       const std::string& service_name) const;
+
+  /// The live ready set of a service: the Endpoint of every ready, Running
+  /// pod its selector matches, in pod-name order. It is kept in step with
+  /// every pod mutation, so it always equals a rebuild from the current
+  /// pod store; the published Endpoints lag it until the next
+  /// publish_ready_endpoints. nullptr for unknown services.
+  [[nodiscard]] const std::vector<Endpoint>* ready_endpoints(
+      const std::string& service_name) const;
+
+  /// Publishes the service's ready set as its Endpoints when the two
+  /// differ, notifying endpoints watchers exactly as set_endpoints would.
+  /// O(1) when the set has not moved since the last publish. No-op for
+  /// unknown services.
+  void publish_ready_endpoints(const std::string& service_name);
   void watch_endpoints(EndpointsWatch watch) {
     endpoints_watches_.push_back(std::move(watch));
   }
@@ -284,7 +313,7 @@ class ApiServer {
   /// iterated.
   struct NodeSlot {
     std::string name;
-    NodeObject* obj = nullptr;  ///< into nodes_; null until registered
+    std::optional<NodeObject> obj;  ///< empty until registered
     NodeUsage usage;
     std::deque<SeqPodWatch> watches;   ///< node-scoped pod watch shard
     std::vector<std::uint32_t> pods;   ///< pod slots bound to this node
@@ -310,6 +339,21 @@ class ApiServer {
   void add_usage(std::uint32_t node_slot, const Pod& pod);
   void sub_usage(std::uint32_t node_slot, double cpu, double memory);
 
+  /// A service's live ready set, indexed by service slot (see
+  /// ready_endpoints). `dirty` is set by every change to the set or to
+  /// the published Endpoints, and cleared by a publish.
+  struct ReadySet {
+    std::vector<Endpoint> ready;  ///< sorted by pod_name
+    bool dirty = true;
+  };
+
+  /// Re-derives a pod's ready-set memberships after a mutation. O(1) for
+  /// pods that neither serve nor served; otherwise one selector match per
+  /// service plus an O(log n) find per set it is in.
+  void sync_ready_sets(std::uint32_t pod_slot);
+  /// Removes the pod from every ready set that lists it.
+  void leave_ready_sets(std::uint32_t pod_slot, const std::string& pod_name);
+
   /// Pod-slot side arrays + posting-list maintenance (swap-remove with
   /// position back-pointers; order is irrelevant — see for_each_pod_on_node).
   void ensure_pod_side(std::uint32_t pod_slot);
@@ -331,7 +375,6 @@ class ApiServer {
   std::uint64_t watch_batches_scheduled_ = 0;
   std::uint64_t watch_batches_delivered_ = 0;
 
-  std::map<std::string, NodeObject> nodes_;
   NamedStore<Pod> pods_;
   NamedStore<Deployment> deployments_;
   NamedStore<Service> services_;
@@ -351,6 +394,8 @@ class ApiServer {
   std::uint64_t watch_seq_ = 0;
   std::unordered_map<std::string, std::uint32_t> node_slot_ids_;
   std::deque<NodeSlot> node_slots_;
+  /// Slots of registered nodes, sorted by name (see for_each_node).
+  std::vector<std::uint32_t> node_order_;
 
   // Heartbeat hot-path side arrays, indexed by node slot (see
   // renew_node_lease_slot): last lease stamp and registered/ready flags.
@@ -375,6 +420,11 @@ class ApiServer {
   std::vector<std::uint32_t> pod_node_pos_;
   std::vector<std::uint32_t> pod_owner_slot_;
   std::vector<std::uint32_t> pod_owner_pos_;
+
+  // Ready sets by service slot, and by pod slot the service slots whose
+  // ready set lists the pod (reset when a service slot is freed).
+  std::vector<ReadySet> ready_sets_;
+  std::vector<std::vector<std::uint32_t>> pod_ready_in_;
 };
 
 }  // namespace sf::k8s

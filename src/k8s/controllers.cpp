@@ -206,27 +206,14 @@ EndpointsController::EndpointsController(ApiServer& api) : api_(api) {
 }
 
 void EndpointsController::refresh_matching(const Pod& pod) {
-  // Only services selecting this pod's labels can have changed; the label
-  // match is a cheap map scan, the pod-list rebuild is the expensive part
-  // we now skip for everyone else.
+  // Only services selecting this pod's labels can have changed. Publishing
+  // touches only the endpoints store, so visiting services in place is
+  // safe.
   api_.for_each_service([&](const Service& svc) {
     if (!selector_matches(svc.selector, pod.labels)) return;
-    rebuild(svc);
+    ++refreshes_;
+    api_.publish_ready_endpoints(svc.name);
   });
-}
-
-void EndpointsController::rebuild(const Service& svc) {
-  // set_endpoints touches only the endpoints store, so visiting services
-  // and pods in place is safe (no copies of either list).
-  ++refreshes_;
-  Endpoints eps;
-  eps.service_name = svc.name;
-  api_.for_each_pod(svc.selector, [&](const Pod& pod) {
-    if (pod.ready && pod.phase == PodPhase::kRunning) {
-      eps.ready.push_back(Endpoint{pod.name, pod.host_net_id, pod.port});
-    }
-  });
-  api_.set_endpoints(std::move(eps));
 }
 
 }  // namespace sf::k8s

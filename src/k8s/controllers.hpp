@@ -120,13 +120,14 @@ class NodeLifecycleController {
 /// Maintains each Service's Endpoints as the set of ready pods matching
 /// its selector.
 ///
-/// Dirty-marking: a pod watch event rebuilds only the services whose
-/// selector matches the pod's labels — O(changed selectors) per event —
-/// instead of rebuilding every service's ready list on every pod event
-/// (the old refresh_all, which scanned all pods once per service per
-/// event). set_endpoints already no-ops on unchanged ready lists, so the
-/// emitted endpoints-event stream is identical; only the wasted rebuild
-/// work goes away.
+/// On each pod watch delivery it refreshes only the services whose
+/// selector matches the pod's labels. A refresh publishes the service's
+/// ready set, which the ApiServer keeps in step with every pod mutation
+/// (ApiServer::ready_endpoints), so it costs O(1) when the set has not
+/// moved and one list compare and copy when it has. It never rescans the
+/// pod store. Publishing happens at the same deliveries, and emits an
+/// endpoints event only when the list changed, exactly as a rebuild from
+/// the store would.
 class EndpointsController {
  public:
   explicit EndpointsController(ApiServer& api);
@@ -134,14 +135,13 @@ class EndpointsController {
   EndpointsController(const EndpointsController&) = delete;
   EndpointsController& operator=(const EndpointsController&) = delete;
 
-  /// Probe counter: endpoints rebuilds performed (one per matching
+  /// Probe counter: endpoints refreshes performed (one per matching
   /// service per pod event). The regression test pins this to the number
   /// of *matching* events, proving non-matching services are skipped.
   [[nodiscard]] std::uint64_t refreshes() const { return refreshes_; }
 
  private:
   void refresh_matching(const Pod& pod);
-  void rebuild(const Service& svc);
 
   ApiServer& api_;
   std::uint64_t refreshes_ = 0;

@@ -14,10 +14,16 @@ KubeCluster::KubeCluster(cluster::Cluster& cluster,
       api_(cluster.sim()),
       heartbeat_wheel_(api_),
       scheduler_(api_,
-                 [this](const std::string& node, const std::string& image) {
-                   auto it = workers_.find(node);
-                   return it != workers_.end() &&
-                          it->second.cache->has_image(image, registry_);
+                 [this](const std::string& image) -> Scheduler::LocalityProbe {
+                   const std::vector<sim::ObjectId>* layers =
+                       registry_.layer_ids(image);
+                   if (layers == nullptr) return {};
+                   return [this, layers](std::uint32_t slot) {
+                     const container::ImageCache* cache =
+                         slot < node_caches_.size() ? node_caches_[slot]
+                                                    : nullptr;
+                     return cache != nullptr && cache->has_layers(*layers);
+                   };
                  }),
       deployment_controller_(api_),
       endpoints_controller_(api_) {
@@ -34,6 +40,9 @@ KubeCluster::KubeCluster(cluster::Cluster& cluster,
                                   node->spec().memory_bytes,
                                   node->net_id()});
     auto [it, inserted] = workers_.emplace(node->name(), std::move(w));
+    const std::uint32_t slot = api_.find_node_slot(node->name());
+    if (slot >= node_caches_.size()) node_caches_.resize(slot + 1, nullptr);
+    node_caches_[slot] = it->second.cache.get();
     // Ordered teardown on node crash: the kubelet forgets its pods first
     // (so late pull/exec callbacks die at their managed_ lookup), then the
     // runtime fails in-flight execs and frees container memory, then the

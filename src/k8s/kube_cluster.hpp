@@ -106,6 +106,9 @@ class KubeCluster {
   ApiServer api_;
   HeartbeatWheel heartbeat_wheel_;
   std::map<std::string, WorkerNode> workers_;
+  /// Each worker's image cache by API node slot (nullptr for slots that
+  /// are not workers): the scheduler's locality probe reads it per node.
+  std::vector<const container::ImageCache*> node_caches_;
   Scheduler scheduler_;
   DeploymentController deployment_controller_;
   EndpointsController endpoints_controller_;

@@ -112,6 +112,12 @@ class NamedStore {
     for (const auto& [name, slot] : index_) fn(slots_[slot]);
   }
 
+  /// for_each, also passing each object's slot: fn(slot, obj).
+  template <typename F>
+  void for_each_slot(F&& fn) const {
+    for (const auto& [name, slot] : index_) fn(slot, slots_[slot]);
+  }
+
  private:
   std::deque<T> slots_;
   std::vector<std::uint32_t> free_;

@@ -27,14 +27,6 @@ Scheduler::Scheduler(ApiServer& api, ImageLocalityFn image_locality)
   });
 }
 
-double Scheduler::requested_cpu_on(const std::string& node) const {
-  return api_.node_usage(node).cpu;
-}
-
-double Scheduler::requested_memory_on(const std::string& node) const {
-  return api_.node_usage(node).memory;
-}
-
 void Scheduler::try_schedule(const std::string& pod_name) {
   const Pod* pod = api_.get_pod(pod_name);
   if (pod == nullptr || pod->phase != PodPhase::kPending ||
@@ -43,34 +35,31 @@ void Scheduler::try_schedule(const std::string& pod_name) {
   }
 
   // Each node's requested CPU/memory comes from the ApiServer's per-node
-  // aggregates, maintained O(changed) with the pod store (the old code
-  // rebuilt them from a full pod-store scan on every bind). The request
+  // aggregates, maintained O(changed) with the pod store. The request
   // values in play are exactly representable, so the incrementally kept
-  // sums equal the rescan's sums bit for bit and scores are unchanged.
-  std::string best_node;
+  // sums equal a rescan's sums bit for bit and scores are unchanged.
+  const LocalityProbe cached =
+      image_locality_ ? image_locality_(pod->container.image)
+                      : LocalityProbe{};
+  const NodeObject* best = nullptr;
   double best_score = -std::numeric_limits<double>::infinity();
-  for (const auto& [name, node] : api_.nodes()) {
-    if (!node.ready) continue;  // filter: NotReady (crashed / lease expired)
-    const ApiServer::NodeUsage used = api_.node_usage(name);
-    const double used_cpu = used.cpu;
-    const double used_mem = used.memory;
-    if (used_cpu + pod->cpu_request > node.allocatable_cpu ||
-        used_mem + pod->memory_request > node.allocatable_memory) {
-      continue;  // filter: does not fit
+  api_.for_each_node([&](std::uint32_t slot, const NodeObject& node,
+                         const ApiServer::NodeUsage& used) {
+    if (!node.ready) return;  // filter: NotReady (crashed / lease expired)
+    if (used.cpu + pod->cpu_request > node.allocatable_cpu ||
+        used.memory + pod->memory_request > node.allocatable_memory) {
+      return;  // filter: does not fit
     }
     // Score: least-requested CPU fraction, plus image-locality bonus.
-    double score =
-        1.0 - (used_cpu + pod->cpu_request) / node.allocatable_cpu;
-    if (image_locality_ && image_locality_(name, pod->container.image)) {
-      score += locality_weight_;
-    }
-    if (score > best_score) {
+    double score = 1.0 - (used.cpu + pod->cpu_request) / node.allocatable_cpu;
+    if (cached && cached(slot)) score += kLocalityWeight;
+    if (score > best_score) {  // strict: ties keep the smaller name
       best_score = score;
-      best_node = name;
+      best = &node;
     }
-  }
+  });
 
-  if (best_node.empty()) {
+  if (best == nullptr) {
     // Unschedulable: remember it and retry after backoff.
     if (unschedulable_.insert(pod_name).second && !retry_scheduled_) {
       retry_scheduled_ = true;
@@ -84,6 +73,7 @@ void Scheduler::try_schedule(const std::string& pod_name) {
 
   unschedulable_.erase(pod_name);
   ++binds_;
+  const std::string& best_node = best->name;
   api_.sim().trace().record(api_.sim().now(), "k8s", "bind",
                             {{"pod", pod_name}, {"node", best_node}});
   api_.mutate_pod(pod_name, [&best_node](Pod& p) {

@@ -50,15 +50,28 @@ class RegistryTest : public ::testing::Test {
 TEST_F(RegistryTest, PushAndManifest) {
   hub.push(make_task_image("matmul"));
   EXPECT_TRUE(hub.has("matmul:latest"));
-  const auto m = hub.manifest("matmul:latest");
-  ASSERT_TRUE(m.has_value());
+  const Image* m = hub.manifest("matmul:latest");
+  ASSERT_NE(m, nullptr);
   EXPECT_EQ(m->name, "matmul:latest");
+  ASSERT_NE(hub.layer_ids("matmul:latest"), nullptr);
+  EXPECT_EQ(hub.layer_ids("matmul:latest")->size(), m->layers.size());
   EXPECT_EQ(hub.image_count(), 1u);
 }
 
 TEST_F(RegistryTest, MissingManifestEmpty) {
-  EXPECT_FALSE(hub.manifest("ghost:1").has_value());
+  EXPECT_EQ(hub.manifest("ghost:1"), nullptr);
+  EXPECT_EQ(hub.layer_ids("ghost:1"), nullptr);
   EXPECT_FALSE(hub.has("ghost:1"));
+}
+
+TEST_F(RegistryTest, RepushReplacesManifestInPlace) {
+  hub.push(make_task_image("matmul"));
+  const Image* before = hub.manifest("matmul:latest");
+  Image slim{"matmul:latest", {{"sha256:slim", 1e6}}};
+  hub.push(slim);
+  EXPECT_EQ(hub.manifest("matmul:latest"), before);
+  EXPECT_EQ(before->layers.size(), 1u);
+  EXPECT_EQ(hub.layer_ids("matmul:latest")->size(), 1u);
 }
 
 class ImageCacheTest : public ::testing::Test {
@@ -131,6 +144,28 @@ TEST_F(ImageCacheTest, SeedSkipsAllCost) {
   sim.run();
   EXPECT_TRUE(ok);
   EXPECT_DOUBLE_EQ(sim.now(), 0.0);
+}
+
+TEST_F(ImageCacheTest, SharedLayersAreCachedOnce) {
+  // Two images share the five base layers: seeding both keeps one entry
+  // per distinct digest, and either image alone is then local.
+  hub.push(make_task_image("fft"));
+  cache.seed_image(make_task_image("matmul"));
+  cache.seed_image(make_task_image("fft"));
+  EXPECT_EQ(cache.layer_count(), make_python_base_image().layers.size() + 2);
+  EXPECT_TRUE(cache.has_image("matmul:latest", hub));
+  EXPECT_TRUE(cache.has_image("fft:latest", hub));
+  EXPECT_TRUE(cache.has_layers(*hub.layer_ids("fft:latest")));
+}
+
+TEST_F(ImageCacheTest, RepushedManifestNeedsItsNewLayer) {
+  cache.seed_image(make_task_image("matmul"));
+  Image patched = make_task_image("matmul");
+  patched.layers.push_back({"sha256:matmul-patch", 1e6});
+  hub.push(patched);
+  EXPECT_FALSE(cache.has_image("matmul:latest", hub));
+  cache.seed_image(patched);
+  EXPECT_TRUE(cache.has_image("matmul:latest", hub));
 }
 
 TEST_F(ImageCacheTest, ClearDropsLayers) {
