@@ -122,25 +122,7 @@ ServingResult run_serving_point(const ServingPoint& p) {
   if (p.lifecycle) kube.enable_node_lifecycle();
   knative::KnativeServing serving{kube, head};
 
-  knative::KnServiceSpec spec;
-  spec.name = "fn";
-  spec.container.name = "fn";
-  spec.container.image = "fn:latest";
-  spec.container.memory_bytes = 512e6;
-  spec.container.boot_s = 0.6;
-  spec.container.cpu_limit = 1.0;
-  spec.handler = [](const net::HttpRequest& req, knative::FunctionContext& ctx,
-                    net::Responder respond) {
-    const double work =
-        req.body.has_value() ? std::any_cast<double>(req.body) : 0.01;
-    ctx.exec(work, [respond = std::move(respond),
-                    bytes = req.body_bytes](bool ok) mutable {
-      net::HttpResponse resp;
-      resp.status = ok ? 200 : 500;
-      resp.body_bytes = bytes;
-      respond(std::move(resp));
-    });
-  };
+  knative::KnServiceSpec spec = workload::compute_service("fn");
   spec.annotations.min_scale = p.min_scale;
   spec.annotations.container_concurrency = 1;  // the paper's configuration
   serving.create_service(std::move(spec));
@@ -244,25 +226,7 @@ MixedResult run_mixed_point(const MixedPoint& p) {
   const container::Image image = container::make_task_image("fn-open");
   tb.registry().push(image);
   tb.kube().seed_image_everywhere(image);
-  knative::KnServiceSpec spec;
-  spec.name = "fn-open";
-  spec.container.name = "fn-open";
-  spec.container.image = "fn-open:latest";
-  spec.container.memory_bytes = 512e6;
-  spec.container.boot_s = 0.6;
-  spec.container.cpu_limit = 1.0;
-  spec.handler = [](const net::HttpRequest& req, knative::FunctionContext& ctx,
-                    net::Responder respond) {
-    const double work =
-        req.body.has_value() ? std::any_cast<double>(req.body) : 0.01;
-    ctx.exec(work, [respond = std::move(respond),
-                    bytes = req.body_bytes](bool ok) mutable {
-      net::HttpResponse resp;
-      resp.status = ok ? 200 : 500;
-      resp.body_bytes = bytes;
-      respond(std::move(resp));
-    });
-  };
+  knative::KnServiceSpec spec = workload::compute_service("fn-open");
   spec.annotations.min_scale = 2;
   spec.annotations.container_concurrency = 1;
   spec.annotations.request_timeout_s = 60;

@@ -8,6 +8,7 @@
 #        scripts/tier1.sh --chaos [build-dir]    (default: ./build)
 #        scripts/tier1.sh --fuzz [build-dir]     (default: ./build)
 #        scripts/tier1.sh --scale [build-dir]    (default: ./build)
+#        scripts/tier1.sh --figures [build-dir]  (default: ./build)
 #
 # --tsan builds the engine + tests under ThreadSanitizer and runs the
 # SweepRunner suite — the only code that spawns threads. Keep it green:
@@ -33,9 +34,37 @@
 # open-loop serving + layered-DAG points) at 1 and 4 sweep threads,
 # diffing both against the committed golden transcript. Drift means the
 # open-loop engine or the scaled control-plane stores lost determinism.
+#
+# --figures builds the figure and ablation binaries and runs each at 1 and
+# 4 sweep threads, diffing the two runs and each against its transcript in
+# tests/golden/figures/. All twelve together run in well under a second;
+# drift means a change moved a paper result.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+
+if [[ "${1:-}" == "--figures" ]]; then
+  build_dir="${2:-$repo_root/build}"
+  golden_dir="$repo_root/tests/golden/figures"
+  figures=(fig1_container_reuse fig2_parallel_scaling fig5_tradeoff_ternary
+           fig6_makespan_bars ablate_coldstart ablate_payload
+           ablate_concurrency ablate_clustering ablate_redirection
+           ablate_resizing ablate_complex_workflow ablate_event_driven)
+  cmake -B "$build_dir" -S "$repo_root"
+  cmake --build "$build_dir" --target "${figures[@]}" -j
+  tmp="$(mktemp -d)"
+  trap 'rm -rf "$tmp"' EXIT
+  for fig in "${figures[@]}"; do
+    SF_SWEEP_THREADS=1 "$build_dir/bench/$fig" > "$tmp/$fig.serial.txt"
+    SF_SWEEP_THREADS=4 "$build_dir/bench/$fig" > "$tmp/$fig.parallel.txt"
+    diff -u "$tmp/$fig.serial.txt" "$tmp/$fig.parallel.txt" \
+      || { echo "figures: $fig: thread counts disagree" >&2; exit 1; }
+    diff -u "$golden_dir/$fig.txt" "$tmp/$fig.serial.txt" \
+      || { echo "figures: $fig: drifted from golden transcript" >&2; exit 1; }
+  done
+  echo "figures: ${#figures[@]} binaries bit-identical at 1 and 4 threads, match goldens"
+  exit 0
+fi
 
 if [[ "${1:-}" == "--scale" ]]; then
   build_dir="${2:-$repo_root/build}"

@@ -208,25 +208,7 @@ FuzzOutcome run_case(const FuzzCase& c) {
     const container::Image image = container::make_task_image("fn-open");
     tb.registry().push(image);
     if (c.prestage) tb.kube().seed_image_everywhere(image);
-    knative::KnServiceSpec spec;
-    spec.name = "fn-open";
-    spec.container.name = "fn-open";
-    spec.container.image = "fn-open:latest";
-    spec.container.memory_bytes = 512e6;
-    spec.container.boot_s = 0.6;
-    spec.container.cpu_limit = 1.0;
-    spec.handler = [](const net::HttpRequest& req,
-                      knative::FunctionContext& ctx, net::Responder respond) {
-      const double work =
-          req.body.has_value() ? std::any_cast<double>(req.body) : 0.01;
-      ctx.exec(work, [respond = std::move(respond),
-                      bytes = req.body_bytes](bool ok) mutable {
-        net::HttpResponse resp;
-        resp.status = ok ? 200 : 500;
-        resp.body_bytes = bytes;
-        respond(std::move(resp));
-      });
-    };
+    knative::KnServiceSpec spec = workload::compute_service("fn-open");
     spec.annotations.min_scale = 1;
     spec.annotations.container_concurrency = 1;
     spec.annotations.request_timeout_s = 30;

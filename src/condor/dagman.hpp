@@ -56,7 +56,6 @@ class DagMan {
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
   [[nodiscard]] std::size_t completed_nodes() const { return completed_; }
   [[nodiscard]] double start_time() const { return start_time_; }
-  [[nodiscard]] double finish_time() const { return finish_time_; }
   [[nodiscard]] double makespan() const { return finish_time_ - start_time_; }
   [[nodiscard]] std::uint64_t total_retries() const { return retries_used_; }
 

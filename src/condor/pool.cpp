@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "sim/async.hpp"
+
 namespace sf::condor {
 
 const char* to_string(JobState s) {
@@ -250,37 +252,30 @@ void CondorPool::start_job(JobId id, ClaimId claim_id, std::uint64_t epoch) {
   sim().call_in(config_.job_setup_overhead_s, [this, id, claim_id, epoch] {
     if (!attempt_live(id, epoch)) return;
     Startd& sd = *startds_.at(claims_.at(claim_id).node_name);
-    // Stage inputs sequentially, as pegasus-lite does. The chain body
-    // holds only a weak self-reference — each pending transfer carries
-    // the strong one — so the function doesn't keep itself alive forever
-    // (a direct self-capture is a shared_ptr cycle; LeakSanitizer flags
-    // it on every job).
-    auto stage_next = std::make_shared<std::function<void(std::size_t)>>();
-    *stage_next = [this, id, claim_id, epoch, &sd,
-                   weak = std::weak_ptr<std::function<void(std::size_t)>>(
-                       stage_next)](std::size_t i) {
-      const auto self = weak.lock();
-      const JobRecord& rr = jobs_.at(id);
-      if (i >= rr.spec.inputs.size()) {
-        run_executable(id, claim_id, epoch);
-        return;
-      }
-      if (rr.spec.submit_volume == nullptr) {
-        finish_job(id, claim_id, epoch, false);
-        return;
-      }
-      storage::stage_file(cluster_.network(), *rr.spec.submit_volume,
-                          sd.scratch(), rr.spec.inputs[i].lfn,
-                          [this, id, claim_id, epoch, i, self](bool ok) {
-                            if (!attempt_live(id, epoch)) return;
-                            if (!ok) {
-                              finish_job(id, claim_id, epoch, false);
-                            } else {
-                              (*self)(i + 1);
-                            }
-                          });
-    };
-    (*stage_next)(0);
+    // Stage inputs sequentially, as pegasus-lite does.
+    sim::for_each_async(
+        jobs_.at(id).spec.inputs.size(),
+        [this, id, epoch, &sd](std::size_t i, sim::AsyncNext next) {
+          const JobSpec& spec = jobs_.at(id).spec;
+          if (spec.submit_volume == nullptr) {
+            next(false);
+            return;
+          }
+          // A dead attempt drops `next`, which ends and frees the loop.
+          storage::stage_file(
+              cluster_.network(), *spec.submit_volume, sd.scratch(),
+              spec.inputs[i].lfn,
+              [this, id, epoch, next = std::move(next)](bool ok) {
+                if (attempt_live(id, epoch)) next(ok);
+              });
+        },
+        [this, id, claim_id, epoch](bool ok) {
+          if (ok) {
+            run_executable(id, claim_id, epoch);
+          } else {
+            finish_job(id, claim_id, epoch, false);
+          }
+        });
   });
 }
 
@@ -304,35 +299,26 @@ void CondorPool::run_executable(JobId id, ClaimId claim_id,
       finish_job(id, claim_id, epoch, false);
       return;
     }
-    // Stage outputs back to the submit node sequentially (weak
-    // self-reference: see the stage-in chain).
+    // Stage outputs back to the submit node sequentially.
     Startd& sd2 = *startds_.at(claims_.at(claim_id).node_name);
-    auto stage_next = std::make_shared<std::function<void(std::size_t)>>();
-    *stage_next = [this, id, claim_id, epoch, &sd2,
-                   weak = std::weak_ptr<std::function<void(std::size_t)>>(
-                       stage_next)](std::size_t i) {
-      const auto self = weak.lock();
-      const JobRecord& rr = jobs_.at(id);
-      if (i >= rr.spec.outputs.size()) {
-        finish_job(id, claim_id, epoch, true);
-        return;
-      }
-      if (rr.spec.submit_volume == nullptr) {
-        finish_job(id, claim_id, epoch, false);
-        return;
-      }
-      storage::stage_file(cluster_.network(), sd2.scratch(),
-                          *rr.spec.submit_volume, rr.spec.outputs[i],
-                          [this, id, claim_id, epoch, i, self](bool ok2) {
-                            if (!attempt_live(id, epoch)) return;
-                            if (!ok2) {
-                              finish_job(id, claim_id, epoch, false);
-                            } else {
-                              (*self)(i + 1);
-                            }
-                          });
-    };
-    (*stage_next)(0);
+    sim::for_each_async(
+        jobs_.at(id).spec.outputs.size(),
+        [this, id, epoch, &sd2](std::size_t i, sim::AsyncNext next) {
+          const JobSpec& spec = jobs_.at(id).spec;
+          if (spec.submit_volume == nullptr) {
+            next(false);
+            return;
+          }
+          storage::stage_file(
+              cluster_.network(), sd2.scratch(), *spec.submit_volume,
+              spec.outputs[i],
+              [this, id, epoch, next = std::move(next)](bool staged) {
+                if (attempt_live(id, epoch)) next(staged);
+              });
+        },
+        [this, id, claim_id, epoch](bool staged) {
+          finish_job(id, claim_id, epoch, staged);
+        });
   });
 }
 

@@ -4,9 +4,16 @@
 #include <cmath>
 #include <utility>
 
+#include "fault/retry.hpp"
+
 namespace sf::container {
 
 namespace {
+
+/// Kubelet image-pull backoff while the registry is unavailable: 0.5 s
+/// doubling to an 8 s cap, six tries overall.
+constexpr fault::RetryPolicy kPullRetry{/*max_attempts=*/6, /*base_s=*/0.5,
+                                        /*cap_s=*/8.0};
 
 /// Position of `id` in an id-sorted layer list.
 template <typename Layers>
@@ -97,7 +104,7 @@ void ImageCache::start_download(const std::string& image_name,
   if (!registry.available(sim.now())) {
     // Registry outage: capped exponential backoff, then give up — the
     // caller (kubelet / cold-start path) owns what happens next.
-    if (pull_retry_.exhausted(attempt)) {
+    if (kPullRetry.exhausted(attempt)) {
       ++pulls_failed_;
       sim.trace().record(sim.now(), "image_cache", "pull_exhausted",
                          {{"node", node_.name()}, {"image", image_name}});
@@ -105,7 +112,7 @@ void ImageCache::start_download(const std::string& image_name,
       return;
     }
     ++pull_retries_;
-    const double delay = pull_retry_.backoff_s(attempt);
+    const double delay = kPullRetry.backoff_s(attempt);
     sim.call_in(delay, [this, image_name, layers, missing_bytes, &registry,
                         attempt] {
       if (!in_flight_.contains(image_name)) return;  // crashed meanwhile

@@ -8,7 +8,6 @@
 
 #include "cluster/node.hpp"
 #include "container/registry.hpp"
-#include "fault/retry.hpp"
 #include "net/flow_network.hpp"
 
 namespace sf::container {
@@ -60,18 +59,6 @@ class ImageCache {
   [[nodiscard]] std::uint64_t pull_retries() const { return pull_retries_; }
   [[nodiscard]] std::uint64_t pulls_failed() const { return pulls_failed_; }
 
-  /// Tunes the retry policy used when the registry is unavailable:
-  /// delays are `base * 2^attempt`, capped at `cap`, for at most
-  /// `max_attempts` tries overall (kubelet image-pull backoff).
-  void set_pull_retry_policy(double base_s, double cap_s, int max_attempts) {
-    pull_retry_.base_s = base_s;
-    pull_retry_.cap_s = cap_s;
-    pull_retry_.max_attempts = max_attempts;
-  }
-  [[nodiscard]] const fault::RetryPolicy& pull_retry_policy() const {
-    return pull_retry_;
-  }
-
   /// Node-crash hook: every in-flight pull fails (ok=false). Cached
   /// layers survive — the VM's disk persists across a reboot.
   void handle_node_crash();
@@ -98,9 +85,6 @@ class ImageCache {
   std::uint64_t pulls_coalesced_ = 0;
   std::uint64_t pull_retries_ = 0;
   std::uint64_t pulls_failed_ = 0;
-  /// Kubelet image-pull backoff; 0.5 s doubling to an 8 s cap, six tries.
-  fault::RetryPolicy pull_retry_{/*max_attempts=*/6, /*base_s=*/0.5,
-                                 /*cap_s=*/8.0};
 };
 
 }  // namespace sf::container

@@ -69,8 +69,6 @@ class Registry {
     return now >= outage_until_;
   }
 
-  [[nodiscard]] double outage_until() const { return outage_until_; }
-
  private:
   struct Stored {
     Image image;

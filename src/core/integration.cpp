@@ -1,10 +1,10 @@
 #include "core/integration.hpp"
 
-#include <memory>
 #include <numeric>
 #include <utility>
 
 #include "container/image.hpp"
+#include "sim/async.hpp"
 
 namespace sf::core {
 
@@ -20,41 +20,23 @@ double total_bytes(const std::vector<storage::FileRef>& files) {
                          });
 }
 
-/// Runs `step(i, next)` for i in [0, n), sequentially and asynchronously;
-/// calls `done(ok)` at the end or at the first failure.
-void for_each_async(
-    std::size_t n,
-    std::function<void(std::size_t, std::function<void(bool)>)> step,
-    std::function<void(bool)> done) {
-  if (n == 0) {
+/// Runs the strategy's per-file `op` on each of `files` in turn from
+/// `client`, then `done(ok)`. An empty op (pass-by-value) moves nothing.
+void transfer(const ServerlessIntegration::FileOp& op, net::NodeId client,
+              std::vector<storage::FileRef> files,
+              std::function<void(bool)> done) {
+  if (!op) {
     done(true);
     return;
   }
-  auto next = std::make_shared<std::function<void(std::size_t)>>();
-  auto done_ptr = std::make_shared<std::function<void(bool)>>(std::move(done));
-  auto step_ptr =
-      std::make_shared<std::function<void(std::size_t, std::function<void(bool)>)>>(
-          std::move(step));
-  // Weak self-reference — each in-flight step callback carries the
-  // strong ref, so the chain frees itself after the last step instead
-  // of leaking as a shared_ptr cycle.
-  *next = [n, done_ptr, step_ptr,
-           weak = std::weak_ptr<std::function<void(std::size_t)>>(next)](
-              std::size_t i) {
-    if (i >= n) {
-      (*done_ptr)(true);
-      return;
-    }
-    const auto self = weak.lock();
-    (*step_ptr)(i, [self, done_ptr, i](bool ok) {
-      if (!ok) {
-        (*done_ptr)(false);
-        return;
-      }
-      (*self)(i + 1);
-    });
-  };
-  (*next)(0);
+  const std::size_t n = files.size();
+  sim::for_each_async(
+      n,
+      [op, client, files = std::move(files)](std::size_t i,
+                                             sim::AsyncNext next) {
+        op(client, files[i], std::move(next));
+      },
+      std::move(done));
 }
 
 }  // namespace
@@ -78,16 +60,47 @@ ServerlessIntegration::ServerlessIntegration(
     : serving_(serving),
       registry_(registry),
       calibration_(calibration),
-      strategy_(strategy),
-      shared_fs_(shared_fs),
-      object_store_(object_store) {
-  if (strategy_ == DataStrategy::kSharedFs && shared_fs_ == nullptr) {
-    throw std::invalid_argument(
-        "ServerlessIntegration: shared-fs strategy needs a filesystem");
-  }
-  if (strategy_ == DataStrategy::kObjectStore && object_store_ == nullptr) {
-    throw std::invalid_argument(
-        "ServerlessIntegration: object-store strategy needs a store");
+      strategy_(strategy) {
+  switch (strategy_) {
+    case DataStrategy::kPassByValue:
+      break;  // file bytes ride in the request and response bodies
+    case DataStrategy::kSharedFs:
+      if (shared_fs == nullptr) {
+        throw std::invalid_argument(
+            "ServerlessIntegration: shared-fs strategy needs a filesystem");
+      }
+      put_ = [shared_fs](net::NodeId client, const storage::FileRef& file,
+                         std::function<void(bool)> done) {
+        shared_fs->write(client, file,
+                         [done = std::move(done)] { done(true); });
+      };
+      get_ = [shared_fs](net::NodeId client, const storage::FileRef& file,
+                         std::function<void(bool)> done) {
+        shared_fs->read(client, file.lfn,
+                        [done = std::move(done)](bool found,
+                                                 storage::FileRef) {
+                          done(found);
+                        });
+      };
+      break;
+    case DataStrategy::kObjectStore:
+      if (object_store == nullptr) {
+        throw std::invalid_argument(
+            "ServerlessIntegration: object-store strategy needs a store");
+      }
+      put_ = [object_store](net::NodeId client, const storage::FileRef& file,
+                            std::function<void(bool)> done) {
+        object_store->put(client, "workflow", file.lfn, file.bytes,
+                          std::move(done));
+      };
+      get_ = [object_store](net::NodeId client, const storage::FileRef& file,
+                            std::function<void(bool)> done) {
+        object_store->get(client, "workflow", file.lfn,
+                          [done = std::move(done)](bool ok, double) {
+                            done(ok);
+                          });
+      };
+      break;
   }
 }
 
@@ -102,110 +115,45 @@ std::string ServerlessIntegration::service_name(
 }
 
 knative::FunctionHandler ServerlessIntegration::make_handler() {
-  const DataStrategy strategy = strategy_;
-  storage::SharedFileSystem* nfs = shared_fs_;
-  storage::ObjectStore* minio = object_store_;
+  const bool by_value = strategy_ == DataStrategy::kPassByValue;
   const double codec_s_per_mb = calibration_.payload_codec_s_per_mb;
-  return [strategy, nfs, minio, codec_s_per_mb](
+  return [get = get_, put = put_, by_value, codec_s_per_mb](
              const net::HttpRequest& req, knative::FunctionContext& ctx,
              net::Responder respond) {
     // Copy: the request object does not outlive a deferred handler.
     const auto payload = std::any_cast<TaskPayload>(req.body);
-    auto finish = [respond = std::move(respond), strategy,
-                   output_bytes = payload.output_bytes](bool ok) mutable {
+    auto finish = [respond = std::move(respond),
+                   reply_bytes = by_value ? payload.output_bytes
+                                          : kControlBytes](bool ok) mutable {
       net::HttpResponse resp;
       resp.status = ok ? 200 : 500;
-      resp.body_bytes = strategy == DataStrategy::kPassByValue
-                            ? output_bytes
-                            : kControlBytes;
+      resp.body_bytes = reply_bytes;
       respond(std::move(resp));
     };
     // Pass-by-value pays CPU to decode the request body and encode the
     // response (matrices as JSON in the paper's Flask wrapper).
     const double codec_s =
-        strategy == DataStrategy::kPassByValue
+        by_value
             ? codec_s_per_mb * (req.body_bytes + payload.output_bytes) / 1e6
             : 0.0;
-    auto compute_then_store = [&ctx, payload, strategy, nfs, minio,
-                               codec_s](std::function<void(bool)> done) {
-      ctx.exec(payload.work_coreseconds + codec_s,
-               [&ctx, payload, strategy, nfs, minio,
-                done = std::move(done)](bool ok) mutable {
-        if (!ok) {
-          done(false);
-          return;
-        }
-        switch (strategy) {
-          case DataStrategy::kPassByValue:
-            done(true);  // outputs travel back in the response body
-            return;
-          case DataStrategy::kSharedFs:
-            for_each_async(
-                payload.outputs.size(),
-                [&ctx, payload, nfs](std::size_t i,
-                                     std::function<void(bool)> next) {
-                  nfs->write(ctx.node, payload.outputs[i],
-                             [next = std::move(next)] { next(true); });
-                },
-                std::move(done));
-            return;
-          case DataStrategy::kObjectStore:
-            for_each_async(
-                payload.outputs.size(),
-                [&ctx, payload, minio](std::size_t i,
-                                       std::function<void(bool)> next) {
-                  minio->put(ctx.node, "workflow", payload.outputs[i].lfn,
-                             payload.outputs[i].bytes, std::move(next));
-                },
-                std::move(done));
-            return;
-        }
-        done(false);
-      });
-    };
-
-    switch (strategy) {
-      case DataStrategy::kPassByValue:
-        compute_then_store(std::move(finish));
-        return;
-      case DataStrategy::kSharedFs:
-        for_each_async(
-            payload.inputs.size(),
-            [&ctx, payload, nfs](std::size_t i,
-                                 std::function<void(bool)> next) {
-              nfs->read(ctx.node, payload.inputs[i].lfn,
-                        [next = std::move(next)](bool found,
-                                                 storage::FileRef) mutable {
-                          next(found);
+    transfer(get, ctx.node, payload.inputs,
+             [&ctx, put, payload, codec_s,
+              finish = std::move(finish)](bool fetched) mutable {
+               if (!fetched) {
+                 finish(false);
+                 return;
+               }
+               ctx.exec(payload.work_coreseconds + codec_s,
+                        [&ctx, put, outputs = payload.outputs,
+                         finish = std::move(finish)](bool ran) mutable {
+                          if (!ran) {
+                            finish(false);
+                            return;
+                          }
+                          transfer(put, ctx.node, std::move(outputs),
+                                   std::move(finish));
                         });
-            },
-            [compute_then_store, finish = std::move(finish)](bool ok) mutable {
-              if (!ok) {
-                finish(false);
-                return;
-              }
-              compute_then_store(std::move(finish));
-            });
-        return;
-      case DataStrategy::kObjectStore:
-        for_each_async(
-            payload.inputs.size(),
-            [&ctx, payload, minio](std::size_t i,
-                                   std::function<void(bool)> next) {
-              minio->get(ctx.node, "workflow", payload.inputs[i].lfn,
-                         [next = std::move(next)](bool ok, double) mutable {
-                           next(ok);
-                         });
-            },
-            [compute_then_store, finish = std::move(finish)](bool ok) mutable {
-              if (!ok) {
-                finish(false);
-                return;
-              }
-              compute_then_store(std::move(finish));
-            });
-        return;
-    }
+             });
   };
 }
 
@@ -256,8 +204,7 @@ std::map<std::string, pegasus::JobMode> ServerlessIntegration::auto_register(
 }
 
 pegasus::ServerlessWrapperFactory ServerlessIntegration::wrapper_factory() {
-  return [this](const pegasus::AbstractJob& job,
-                const pegasus::Transformation& t,
+  return [this](const pegasus::AbstractJob&, const pegasus::Transformation& t,
                 std::vector<storage::FileRef> inputs,
                 std::vector<storage::FileRef> outputs)
              -> condor::JobExecutable {
@@ -265,24 +212,20 @@ pegasus::ServerlessWrapperFactory ServerlessIntegration::wrapper_factory() {
     TaskPayload payload;
     payload.work_coreseconds = t.work_coreseconds;
     payload.output_bytes = total_bytes(outputs);
-    payload.inputs = inputs;
-    payload.outputs = outputs;
-    const double request_bytes =
-        strategy_ == DataStrategy::kPassByValue ? total_bytes(inputs)
-                                                : kControlBytes;
-    const DataStrategy strategy = strategy_;
-    storage::SharedFileSystem* nfs = shared_fs_;
-    storage::ObjectStore* minio = object_store_;
-    (void)job;
+    payload.inputs = std::move(inputs);
+    payload.outputs = std::move(outputs);
+    const double request_bytes = strategy_ == DataStrategy::kPassByValue
+                                     ? total_bytes(payload.inputs)
+                                     : kControlBytes;
 
-    return [this, service, payload, request_bytes, strategy, nfs, minio](
+    // upload inputs → invoke → download outputs into scratch for condor
+    // stage-out: the paper's redundant submit → wrapper-node → function
+    // data movement.
+    return [this, service, payload, request_bytes](
                condor::ExecContext& ctx, std::function<void(bool)> done) {
-      // The wrapper job reads its condor-staged inputs from scratch (the
-      // paper's redundant data hop: submit → wrapper node → function).
-      auto after_upload = [this, service, payload, request_bytes, strategy,
-                           nfs, minio, &ctx,
-                           done = std::move(done)](bool staged) mutable {
-        if (!staged) {
+      auto invoke = [this, service, payload, request_bytes, &ctx,
+                     done = std::move(done)](bool uploaded) mutable {
+        if (!uploaded) {
           done(false);
           return;
         }
@@ -293,110 +236,31 @@ pegasus::ServerlessWrapperFactory ServerlessIntegration::wrapper_factory() {
         ++invocations_;
         serving_.invoke(
             ctx.node->net_id(), service, std::move(req),
-            [this, payload, strategy, nfs, minio, &ctx,
+            [this, outputs = payload.outputs, &ctx,
              done = std::move(done)](net::HttpResponse resp) mutable {
               if (!resp.ok()) {
                 ++failures_;
                 done(false);
                 return;
               }
-              // Materialize outputs into scratch for condor stage-out;
-              // `fetched` reports whether the strategy-specific download
-              // step succeeded.
-              std::function<void(bool)> write_all =
-                  [&ctx, payload, done = std::move(done)](bool fetched) mutable {
-                    if (!fetched) {
-                      done(false);
-                      return;
-                    }
-                    for_each_async(
-                        payload.outputs.size(),
-                        [&ctx, payload](std::size_t i,
-                                        std::function<void(bool)> next) {
-                          ctx.scratch->write(payload.outputs[i],
-                                             [next = std::move(next)] {
-                                               next(true);
-                                             });
-                        },
-                        std::move(done));
-                  };
-              switch (strategy) {
-                case DataStrategy::kPassByValue:
-                  write_all(true);
-                  return;
-                case DataStrategy::kSharedFs:
-                  // Pull outputs off the shared FS to this node first.
-                  for_each_async(
-                      payload.outputs.size(),
-                      [&ctx, payload, nfs](std::size_t i,
-                                           std::function<void(bool)> next) {
-                        nfs->read(ctx.node->net_id(),
-                                  payload.outputs[i].lfn,
-                                  [next = std::move(next)](
-                                      bool found, storage::FileRef) mutable {
-                                    next(found);
-                                  });
-                      },
-                      std::move(write_all));
-                  return;
-                case DataStrategy::kObjectStore:
-                  for_each_async(
-                      payload.outputs.size(),
-                      [&ctx, payload, minio](std::size_t i,
-                                             std::function<void(bool)> next) {
-                        minio->get(ctx.node->net_id(), "workflow",
-                                   payload.outputs[i].lfn,
-                                   [next = std::move(next)](bool ok,
-                                                            double) mutable {
-                                     next(ok);
-                                   });
-                      },
-                      std::move(write_all));
-                  return;
-              }
+              transfer(get_, ctx.node->net_id(), outputs,
+                       [&ctx, outputs,
+                        done = std::move(done)](bool fetched) mutable {
+                         if (!fetched) {
+                           done(false);
+                           return;
+                         }
+                         pegasus::write_outputs(ctx, std::move(outputs),
+                                                std::move(done));
+                       });
             });
       };
-
-      // Strategy-specific upload step before invocation.
-      switch (strategy) {
-        case DataStrategy::kPassByValue: {
-          // Read staged inputs from local disk to serialize into the
-          // request body.
-          std::vector<std::string> lfns;
-          for (const auto& f : payload.inputs) lfns.push_back(f.lfn);
-          for_each_async(
-              lfns.size(),
-              [&ctx, lfns](std::size_t i, std::function<void(bool)> next) {
-                ctx.scratch->read(
-                    lfns[i], [next = std::move(next)](
-                                 bool found, storage::FileRef) mutable {
-                      next(found);
-                    });
-              },
-              std::move(after_upload));
-          return;
-        }
-        case DataStrategy::kSharedFs:
-          for_each_async(
-              payload.inputs.size(),
-              [&ctx, payload, nfs](std::size_t i,
-                                   std::function<void(bool)> next) {
-                nfs->write(ctx.node->net_id(), payload.inputs[i],
-                           [next = std::move(next)] { next(true); });
-              },
-              std::move(after_upload));
-          return;
-        case DataStrategy::kObjectStore:
-          for_each_async(
-              payload.inputs.size(),
-              [&ctx, payload, minio](std::size_t i,
-                                     std::function<void(bool)> next) {
-                minio->put(ctx.node->net_id(), "workflow",
-                           payload.inputs[i].lfn, payload.inputs[i].bytes,
-                           std::move(next));
-              },
-              std::move(after_upload));
-          return;
+      // Pass-by-value serializes the condor-staged inputs into the request
+      // body, so it reads them off scratch; the others upload them.
+      if (put_) {
+        transfer(put_, ctx.node->net_id(), payload.inputs, std::move(invoke));
+      } else {
+        pegasus::read_inputs(ctx, payload.inputs, std::move(invoke));
       }
     };
   };

@@ -129,6 +129,11 @@ class ServerlessIntegration {
   [[nodiscard]] std::uint64_t invocations() const { return invocations_; }
   [[nodiscard]] std::uint64_t failures() const { return failures_; }
 
+  /// One file moved by the data strategy from `client`, then `done(ok)`.
+  using FileOp = std::function<void(
+      net::NodeId client, const storage::FileRef& file,
+      std::function<void(bool)> done)>;
+
  private:
   [[nodiscard]] knative::FunctionHandler make_handler();
 
@@ -136,8 +141,10 @@ class ServerlessIntegration {
   container::Registry& registry_;
   CalibrationProfile calibration_;
   DataStrategy strategy_;
-  storage::SharedFileSystem* shared_fs_;
-  storage::ObjectStore* object_store_;
+  /// The strategy's store, picked once: upload / download one file. Both
+  /// empty under pass-by-value.
+  FileOp put_;
+  FileOp get_;
   std::map<std::string, std::string> services_;  // transformation → service
   std::uint64_t invocations_ = 0;
   std::uint64_t failures_ = 0;

@@ -1,60 +1,9 @@
 #include "core/redirect.hpp"
 
-#include <memory>
 #include <stdexcept>
 #include <utility>
 
 namespace sf::core {
-
-namespace {
-
-/// Minimal native path: read staged inputs, burn the work single-threaded,
-/// write the outputs — what pegasus-lite does without a container.
-void run_native(condor::ExecContext& ctx,
-                const std::vector<storage::FileRef>& inputs,
-                const std::vector<storage::FileRef>& outputs, double work,
-                std::function<void(bool)> done) {
-  // Both chains hold only weak self-references — pending disk/process
-  // continuations carry the strong refs — so the functions free
-  // themselves when the last step fires instead of leaking as
-  // shared_ptr cycles. read_next → write_next is one-directional and
-  // may stay strong.
-  auto write_next = std::make_shared<std::function<void(std::size_t)>>();
-  auto done_ptr =
-      std::make_shared<std::function<void(bool)>>(std::move(done));
-  auto read_next = std::make_shared<std::function<void(std::size_t)>>();
-  *write_next = [&ctx, outputs, done_ptr,
-                 weak = std::weak_ptr<std::function<void(std::size_t)>>(
-                     write_next)](std::size_t i) {
-    if (i >= outputs.size()) {
-      (*done_ptr)(true);
-      return;
-    }
-    const auto self = weak.lock();
-    ctx.scratch->write(outputs[i], [self, i] { (*self)(i + 1); });
-  };
-  *read_next = [&ctx, inputs, work, write_next, done_ptr,
-                weak = std::weak_ptr<std::function<void(std::size_t)>>(
-                    read_next)](std::size_t i) {
-    if (i >= inputs.size()) {
-      ctx.node->run_process(work, [write_next] { (*write_next)(0); },
-                            /*max_cores=*/1.0);
-      return;
-    }
-    const auto self = weak.lock();
-    ctx.scratch->read(inputs[i].lfn, [self, done_ptr, i](
-                                         bool found, storage::FileRef) {
-      if (!found) {
-        (*done_ptr)(false);
-        return;
-      }
-      (*self)(i + 1);
-    });
-  };
-  (*read_next)(0);
-}
-
-}  // namespace
 
 TaskRedirector::TaskRedirector(ServerlessIntegration& integration,
                                double utilization_threshold)
@@ -75,10 +24,12 @@ pegasus::ServerlessWrapperFactory TaskRedirector::adaptive_factory() {
              -> condor::JobExecutable {
     condor::JobExecutable serverless =
         serverless_factory(job, t, inputs, outputs);
-    const double work = t.startup_s + t.work_coreseconds;
-    return [this, serverless = std::move(serverless), inputs, outputs,
-            work](condor::ExecContext& ctx,
-                  std::function<void(bool)> done) {
+    condor::JobExecutable native = pegasus::native_executable(
+        std::move(inputs), std::move(outputs),
+        t.startup_s + t.work_coreseconds);
+    return [this, serverless = std::move(serverless),
+            native = std::move(native)](condor::ExecContext& ctx,
+                                        std::function<void(bool)> done) {
       const double busy_fraction =
           ctx.node->cpu_utilization() / ctx.node->spec().cores;
       if (busy_fraction > threshold_) {
@@ -88,7 +39,7 @@ pegasus::ServerlessWrapperFactory TaskRedirector::adaptive_factory() {
         serverless(ctx, std::move(done));
       } else {
         ++ran_native_;
-        run_native(ctx, inputs, outputs, work, std::move(done));
+        native(ctx, std::move(done));
       }
     };
   };

@@ -203,15 +203,6 @@ class ApiServer {
   [[nodiscard]] std::vector<const Pod*> list_pods(const Labels& selector) const;
   [[nodiscard]] std::size_t pod_count() const { return pods_.size(); }
 
-  /// Lifetime counters: every pod ever stored / ever finalized. Invariant
-  /// (asserted in debug builds): created − finalized == pod_count().
-  [[nodiscard]] std::uint64_t pods_created_total() const {
-    return pods_created_total_;
-  }
-  [[nodiscard]] std::uint64_t pods_finalized_total() const {
-    return pods_finalized_total_;
-  }
-
   /// Marks the pod Terminating and notifies watchers; the owning kubelet
   /// (or, for never-scheduled pods, the API server itself) finalizes.
   void delete_pod(const std::string& name);
@@ -370,6 +361,8 @@ class ApiServer {
   sim::Simulation& sim_;
   double api_latency_;
   Uid next_uid_ = 1;
+  /// Lifetime counters: every pod ever stored / ever finalized. Invariant
+  /// (asserted in debug builds): created − finalized == pods_.size().
   std::uint64_t pods_created_total_ = 0;
   std::uint64_t pods_finalized_total_ = 0;
   std::uint64_t watch_batches_scheduled_ = 0;

@@ -15,7 +15,6 @@ std::uint32_t HeartbeatWheel::add(Kubelet& kubelet) {
     members_[tail_].next = m;
   }
   tail_ = m;
-  ++live_count_;
   if (kubelet.heartbeat_alive()) {
     api_.renew_node_lease_slot(members_[m].node_slot);
   }
@@ -37,7 +36,6 @@ void HeartbeatWheel::remove(std::uint32_t member) {
   }
   mem.prev = mem.next = kNone;
   mem.live = false;
-  --live_count_;
 }
 
 void HeartbeatWheel::restore(std::uint32_t member) {
@@ -52,7 +50,6 @@ void HeartbeatWheel::restore(std::uint32_t member) {
   }
   tail_ = member;
   mem.live = true;
-  ++live_count_;
 }
 
 void HeartbeatWheel::start(double interval_s) {

@@ -55,7 +55,6 @@ class HeartbeatWheel {
   void start(double interval_s);
 
   [[nodiscard]] bool started() const { return started_; }
-  [[nodiscard]] std::size_t live_members() const { return live_count_; }
 
  private:
   void tick();
@@ -81,7 +80,6 @@ class HeartbeatWheel {
   std::vector<Member> members_;
   std::uint32_t head_ = kNone;
   std::uint32_t tail_ = kNone;
-  std::size_t live_count_ = 0;
 };
 
 }  // namespace sf::k8s

@@ -29,7 +29,6 @@ class Kubelet {
   Kubelet& operator=(const Kubelet&) = delete;
 
   [[nodiscard]] const std::string& node_name() const { return node_.name(); }
-  [[nodiscard]] std::size_t managed_pods() const { return managed_.size(); }
 
   /// Container backing a pod this kubelet runs; kNoContainer when the pod
   /// is unknown or not yet started.

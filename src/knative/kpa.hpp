@@ -49,7 +49,6 @@ class KpaScaler {
   }
 
   [[nodiscard]] const Config& config() const { return config_; }
-  [[nodiscard]] bool in_panic() const { return panicking_; }
 
  private:
   struct WindowAverages {

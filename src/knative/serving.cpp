@@ -701,12 +701,6 @@ int KnativeServing::desired_replicas(const std::string& service) const {
   return it == revisions_.end() ? 0 : it->second.current_desired;
 }
 
-double KnativeServing::observed_concurrency(
-    const std::string& service) const {
-  auto it = revisions_.find(service);
-  return it == revisions_.end() ? 0 : scrape(it->second);
-}
-
 std::uint64_t KnativeServing::cold_start_requests(
     const std::string& service) const {
   auto it = revisions_.find(service);

@@ -142,7 +142,6 @@ class KnativeServing {
 
   [[nodiscard]] int ready_replicas(const std::string& service) const;
   [[nodiscard]] int desired_replicas(const std::string& service) const;
-  [[nodiscard]] double observed_concurrency(const std::string& service) const;
   /// Requests that had to wait in the activator (cold starts).
   [[nodiscard]] std::uint64_t cold_start_requests(
       const std::string& service) const;

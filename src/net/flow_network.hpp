@@ -76,20 +76,6 @@ class FlowNetwork {
     return bytes_delivered_;
   }
 
-  // ---- Conservation accounting (sf::check) --------------------------
-
-  /// Total bulk bytes ever requested via transfer() (zero-byte control
-  /// messages excluded).
-  [[nodiscard]] double total_bytes_requested() const {
-    return bytes_requested_;
-  }
-  /// Bytes abandoned by cancel() (the flow's remainder at cancel time).
-  [[nodiscard]] double total_bytes_cancelled() const {
-    return bytes_cancelled_;
-  }
-  /// Sub-kDoneSlack residues written off when flows complete.
-  [[nodiscard]] double total_bytes_rounded() const { return bytes_rounded_; }
-
   /// Currently partitioned node pairs.
   [[nodiscard]] std::size_t blocked_pair_count() const {
     return blocked_pairs_.size();
@@ -211,6 +197,7 @@ class FlowNetwork {
   sim::EventId completion_event_ = sim::kNoEvent;
   std::uint64_t next_seq_ = 0;
   double bytes_delivered_ = 0;
+  // Byte-conservation ledger, read only by self_check().
   double bytes_requested_ = 0;
   double bytes_cancelled_ = 0;
   double bytes_rounded_ = 0;

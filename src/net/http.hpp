@@ -84,7 +84,6 @@ class HttpFabric {
   /// Fixed per-request protocol overhead (connection setup, headers),
   /// applied once per request and once per response.
   void set_request_overhead(double seconds) { request_overhead_ = seconds; }
-  [[nodiscard]] double request_overhead() const { return request_overhead_; }
 
   [[nodiscard]] std::uint64_t requests_sent() const { return requests_sent_; }
 

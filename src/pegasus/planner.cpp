@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "sim/async.hpp"
+
 namespace sf::pegasus {
 
 const char* to_string(JobMode mode) {
@@ -49,44 +51,60 @@ void Plan::load_into(condor::DagMan& dag) const {
   for (const auto& node : nodes) dag.add_node(node);
 }
 
-// ---- Executable builders ----------------------------------------------------
+// ---- Task bodies ------------------------------------------------------------
 
-namespace {
+void read_inputs(condor::ExecContext& ctx, std::vector<storage::FileRef> inputs,
+                 std::function<void(bool)> done) {
+  const std::size_t n = inputs.size();
+  sim::for_each_async(
+      n,
+      [&ctx, inputs = std::move(inputs)](std::size_t i, sim::AsyncNext next) {
+        ctx.scratch->read(inputs[i].lfn, [next = std::move(next)](
+                                             bool found, storage::FileRef) {
+          next(found);
+        });
+      },
+      std::move(done));
+}
 
-/// Sequentially writes `outputs` into the job scratch, then done(true).
 void write_outputs(condor::ExecContext& ctx,
                    std::vector<storage::FileRef> outputs,
-                   std::function<void(bool)> done, std::size_t i = 0) {
-  if (i >= outputs.size()) {
-    done(true);
-    return;
-  }
-  const storage::FileRef file = outputs[i];
-  ctx.scratch->write(file, [&ctx, outputs = std::move(outputs),
-                            done = std::move(done), i]() mutable {
-    write_outputs(ctx, std::move(outputs), std::move(done), i + 1);
-  });
+                   std::function<void(bool)> done) {
+  const std::size_t n = outputs.size();
+  sim::for_each_async(
+      n,
+      [&ctx, outputs = std::move(outputs)](std::size_t i, sim::AsyncNext next) {
+        ctx.scratch->write(outputs[i],
+                           [next = std::move(next)] { next(true); });
+      },
+      std::move(done));
 }
 
-/// Sequentially reads `inputs` from scratch (staged there, or produced by
-/// an earlier task of the same clustered job), then `then(ok)`.
-void read_inputs(condor::ExecContext& ctx, std::vector<std::string> inputs,
-                 std::function<void(bool)> then, std::size_t i = 0) {
-  if (i >= inputs.size()) {
-    then(true);
-    return;
-  }
-  const std::string lfn = inputs[i];
-  ctx.scratch->read(lfn, [&ctx, inputs = std::move(inputs),
-                          then = std::move(then),
-                          i](bool found, storage::FileRef) mutable {
-    if (!found) {
-      then(false);
-      return;
-    }
-    read_inputs(ctx, std::move(inputs), std::move(then), i + 1);
-  });
+condor::JobExecutable native_executable(std::vector<storage::FileRef> inputs,
+                                        std::vector<storage::FileRef> outputs,
+                                        double work) {
+  return [inputs = std::move(inputs), outputs = std::move(outputs), work](
+             condor::ExecContext& ctx, std::function<void(bool)> done) {
+    read_inputs(ctx, inputs, [&ctx, outputs, work,
+                              done = std::move(done)](bool ok) mutable {
+      if (!ok) {
+        done(false);
+        return;
+      }
+      // Native execution: a single-threaded process that contends freely
+      // with whatever else runs on the node (no isolation).
+      ctx.node->run_process(
+          work,
+          [&ctx, outputs = std::move(outputs),
+           done = std::move(done)]() mutable {
+            write_outputs(ctx, std::move(outputs), std::move(done));
+          },
+          /*max_cores=*/1.0);
+    });
+  };
 }
+
+namespace {
 
 /// Chains task executables sequentially, aborting on the first failure —
 /// the body of a vertically clustered job.
@@ -95,28 +113,12 @@ condor::JobExecutable chain_executables(
   if (execs.size() == 1) return std::move(execs.front());
   return [execs = std::move(execs)](condor::ExecContext& ctx,
                                     std::function<void(bool)> done) {
-    // Weak self-reference: each task's completion callback carries the
-    // strong ref, so the chain frees itself when the last task reports
-    // (a direct self-capture would leak the chain and the captured
-    // `done` on every clustered job).
-    auto run = std::make_shared<std::function<void(std::size_t)>>();
-    *run = [&ctx, &execs, done = std::move(done),
-            weak = std::weak_ptr<std::function<void(std::size_t)>>(run)](
-               std::size_t i) mutable {
-      if (i >= execs.size()) {
-        done(true);
-        return;
-      }
-      const auto self = weak.lock();
-      execs[i](ctx, [self, i, &done](bool ok) {
-        if (!ok) {
-          done(false);
-          return;
-        }
-        (*self)(i + 1);
-      });
-    };
-    (*run)(0);
+    sim::for_each_async(
+        execs.size(),
+        [&ctx, &execs](std::size_t i, sim::AsyncNext next) {
+          execs[i](ctx, std::move(next));
+        },
+        std::move(done));
   };
 }
 
@@ -140,46 +142,12 @@ JobMode Planner::mode_of(const AbstractJob& job) const {
                                              : it->second;
 }
 
-condor::JobSpec Planner::base_spec(const AbstractJob& job) const {
-  const Transformation& t = transformations_.get(job.transformation);
-  condor::JobSpec spec;
-  spec.name = job.id;
-  spec.request_cpus = 1;
-  spec.request_memory = t.memory_bytes;
-  for (const auto& lfn : job.inputs()) {
-    spec.inputs.push_back({lfn, workflow_.file_bytes(lfn)});
-  }
-  spec.outputs = job.outputs();
-  spec.submit_volume = &pool_.submit_staging();
-  return spec;
-}
-
-condor::JobExecutable Planner::make_native(const AbstractJob& job,
-                                           const Transformation& t) const {
-  std::vector<std::string> inputs = job.inputs();
-  std::vector<storage::FileRef> outputs;
-  for (const auto& lfn : job.outputs()) {
-    outputs.push_back({lfn, workflow_.file_bytes(lfn)});
-  }
-  const double work = t.startup_s + t.work_coreseconds;
-  return [inputs, outputs, work](condor::ExecContext& ctx,
-                                 std::function<void(bool)> done) {
-    read_inputs(ctx, inputs, [&ctx, outputs, work,
-                              done = std::move(done)](bool ok) mutable {
-      if (!ok) {
-        done(false);
-        return;
-      }
-      // Native execution: a single-threaded process that contends freely
-      // with whatever else runs on the node (no isolation).
-      ctx.node->run_process(
-          work,
-          [&ctx, outputs, done = std::move(done)]() mutable {
-            write_outputs(ctx, outputs, std::move(done));
-          },
-          /*max_cores=*/1.0);
-    });
-  };
+std::vector<storage::FileRef> Planner::file_refs(
+    const std::vector<std::string>& lfns) const {
+  std::vector<storage::FileRef> out;
+  out.reserve(lfns.size());
+  for (const auto& lfn : lfns) out.push_back({lfn, workflow_.file_bytes(lfn)});
+  return out;
 }
 
 condor::JobExecutable Planner::make_container(const AbstractJob& job,
@@ -193,11 +161,8 @@ condor::JobExecutable Planner::make_container(const AbstractJob& job,
     throw std::invalid_argument("Planner: image not in registry: " +
                                 t.container_image);
   }
-  std::vector<std::string> inputs = job.inputs();
-  std::vector<storage::FileRef> outputs;
-  for (const auto& lfn : job.outputs()) {
-    outputs.push_back({lfn, workflow_.file_bytes(lfn)});
-  }
+  std::vector<storage::FileRef> inputs = file_refs(job.inputs());
+  std::vector<storage::FileRef> outputs = file_refs(job.outputs());
   DockerEnv* docker = options_.docker;
   container::Registry* registry = options_.registry;
   const container::Image image = *manifest;
@@ -259,55 +224,41 @@ void Planner::add_stage_in(Plan& plan) const {
   node.job.executable = [initial, replicas, staging, network, catalog](
                             condor::ExecContext&,
                             std::function<void(bool)> done) {
-    // Weak self-reference; pending transfers hold the strong ref (a
-    // direct self-capture is a shared_ptr cycle — the chain would leak).
-    auto stage_next = std::make_shared<std::function<void(std::size_t)>>();
-    auto done_ptr =
-        std::make_shared<std::function<void(bool)>>(std::move(done));
-    *stage_next = [initial, replicas, staging, network, catalog, done_ptr,
-                   weak = std::weak_ptr<std::function<void(std::size_t)>>(
-                       stage_next)](std::size_t i) {
-      const auto self = weak.lock();
-      if (i >= initial.size()) {
-        (*done_ptr)(true);
-        return;
-      }
-      const std::string lfn = initial[i];
-      auto resolved = [self, done_ptr, staging, network, catalog, lfn, i](
-                          bool ok, storage::Volume* source) {
-        if (!ok || source == nullptr) {
-          (*done_ptr)(false);
-          return;
-        }
-        if (source == staging) {  // data already on the submit node
-          (*self)(i + 1);
-          return;
-        }
-        if (catalog != nullptr && !source->node().up()) {
-          // A (possibly stale) catalog read steered us at a dead node.
-          // Fail fast instead of wedging on a disk that will never answer,
-          // and drop the entry so the DAG retry re-resolves.
-          catalog->invalidate(lfn);
-          (*done_ptr)(false);
-          return;
-        }
-        storage::stage_file(*network, *source, *staging, lfn,
-                            [self, done_ptr, i](bool staged) {
-                              if (!staged) {
-                                (*done_ptr)(false);
-                              } else {
-                                (*self)(i + 1);
-                              }
-                            });
-      };
-      if (catalog != nullptr) {
-        catalog->lookup(lfn, std::move(resolved));
-      } else {
-        storage::Volume* source = replicas->primary(lfn);
-        resolved(source != nullptr, source);
-      }
-    };
-    (*stage_next)(0);
+    sim::for_each_async(
+        initial.size(),
+        [initial, replicas, staging, network, catalog](std::size_t i,
+                                                       sim::AsyncNext next) {
+          const std::string& lfn = initial[i];
+          auto resolved = [staging, network, catalog, lfn,
+                           next = std::move(next)](
+                              bool ok, storage::Volume* source) mutable {
+            if (!ok || source == nullptr) {
+              next(false);
+              return;
+            }
+            if (source == staging) {  // data already on the submit node
+              next(true);
+              return;
+            }
+            if (catalog != nullptr && !source->node().up()) {
+              // A (possibly stale) catalog read steered us at a dead node.
+              // Fail fast instead of wedging on a disk that will never
+              // answer, and drop the entry so the DAG retry re-resolves.
+              catalog->invalidate(lfn);
+              next(false);
+              return;
+            }
+            storage::stage_file(*network, *source, *staging, lfn,
+                                std::move(next));
+          };
+          if (catalog != nullptr) {
+            catalog->lookup(lfn, std::move(resolved));
+          } else {
+            storage::Volume* source = replicas->primary(lfn);
+            resolved(source != nullptr, source);
+          }
+        },
+        std::move(done));
   };
   plan.nodes.push_back(std::move(node));
   ++plan.stage_in_jobs;
@@ -470,7 +421,9 @@ Plan Planner::plan() {
 
       switch (mode) {
         case JobMode::kNative:
-          execs.push_back(make_native(aj, t));
+          execs.push_back(native_executable(file_refs(aj.inputs()),
+                                            file_refs(aj.outputs()),
+                                            t.startup_s + t.work_coreseconds));
           break;
         case JobMode::kContainer: {
           execs.push_back(make_container(aj, t));
@@ -488,16 +441,8 @@ Plan Planner::plan() {
             throw std::invalid_argument(
                 "Planner: serverless mode requires a wrapper factory");
           }
-          std::vector<storage::FileRef> ins;
-          for (const auto& lfn : aj.inputs()) {
-            ins.push_back({lfn, workflow_.file_bytes(lfn)});
-          }
-          std::vector<storage::FileRef> outs;
-          for (const auto& lfn : aj.outputs()) {
-            outs.push_back({lfn, workflow_.file_bytes(lfn)});
-          }
-          execs.push_back(options_.serverless_factory(aj, t, std::move(ins),
-                                                      std::move(outs)));
+          execs.push_back(options_.serverless_factory(
+              aj, t, file_refs(aj.inputs()), file_refs(aj.outputs())));
           break;
         }
       }

@@ -51,6 +51,25 @@ using ServerlessWrapperFactory = std::function<condor::JobExecutable(
     std::vector<storage::FileRef> inputs,
     std::vector<storage::FileRef> outputs)>;
 
+/// pegasus-lite's scratch I/O, shared by every task body that runs in a
+/// condor job: reads `inputs` from the job scratch one after another
+/// (staged there, or produced by an earlier task of the same clustered
+/// job), then `done(ok)` — false as soon as one is missing.
+void read_inputs(condor::ExecContext& ctx, std::vector<storage::FileRef> inputs,
+                 std::function<void(bool)> done);
+
+/// Writes `outputs` into the job scratch one after another, then
+/// `done(true)`.
+void write_outputs(condor::ExecContext& ctx,
+                   std::vector<storage::FileRef> outputs,
+                   std::function<void(bool)> done);
+
+/// Native task body (Setup 1): reads the inputs, burns `work` core-seconds
+/// as one single-threaded process on the worker, writes the outputs.
+[[nodiscard]] condor::JobExecutable native_executable(
+    std::vector<storage::FileRef> inputs,
+    std::vector<storage::FileRef> outputs, double work);
+
 /// Planner options (properties + site-catalog decisions).
 struct PlannerOptions {
   JobMode default_mode = JobMode::kNative;
@@ -102,9 +121,9 @@ class Planner {
 
  private:
   [[nodiscard]] JobMode mode_of(const AbstractJob& job) const;
-  [[nodiscard]] condor::JobSpec base_spec(const AbstractJob& job) const;
-  [[nodiscard]] condor::JobExecutable make_native(
-      const AbstractJob& job, const Transformation& t) const;
+  /// Sized references to `lfns`, as the workflow declares them.
+  [[nodiscard]] std::vector<storage::FileRef> file_refs(
+      const std::vector<std::string>& lfns) const;
   [[nodiscard]] condor::JobExecutable make_container(
       const AbstractJob& job, const Transformation& t) const;
   void add_stage_in(Plan& plan) const;

@@ -83,7 +83,7 @@ class ByteArena {
 
   void clear() {
     chunk_ = 0;
-    used_ = chunks_.empty() ? 0 : 0;
+    used_ = 0;
     overflow_.clear();
   }
 

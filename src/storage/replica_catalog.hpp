@@ -61,11 +61,6 @@ class ReplicaCatalog {
     return vols.empty() ? nullptr : vols.front();
   }
 
-  /// Spelling of an id handed out by id_of() (debug/trace path).
-  [[nodiscard]] std::string_view name_of(sim::ObjectId id) const {
-    return names_.name(id);
-  }
-
  private:
   sim::Interner names_;                         // lfn → dense id
   std::vector<std::vector<Volume*>> replicas_;  // indexed by ObjectId

@@ -1,6 +1,7 @@
 #include "workload/open_loop.hpp"
 
 #include <algorithm>
+#include <any>
 #include <bit>
 #include <istream>
 #include <sstream>
@@ -38,6 +39,29 @@ std::vector<Arrival> load_arrival_trace(std::istream& in) {
     out.push_back(std::move(a));
   }
   return out;
+}
+
+knative::KnServiceSpec compute_service(const std::string& name) {
+  knative::KnServiceSpec spec;
+  spec.name = name;
+  spec.container.name = name;
+  spec.container.image = name + ":latest";
+  spec.container.memory_bytes = 512e6;
+  spec.container.boot_s = 0.6;
+  spec.container.cpu_limit = 1.0;
+  spec.handler = [](const net::HttpRequest& req, knative::FunctionContext& ctx,
+                    net::Responder respond) {
+    const double work =
+        req.body.has_value() ? std::any_cast<double>(req.body) : 0.01;
+    ctx.exec(work, [respond = std::move(respond),
+                    bytes = req.body_bytes](bool ok) mutable {
+      net::HttpResponse resp;
+      resp.status = ok ? 200 : 500;
+      resp.body_bytes = bytes;
+      respond(std::move(resp));
+    });
+  };
+  return spec;
 }
 
 OpenLoopEngine::OpenLoopEngine(knative::KnativeServing& serving,

@@ -30,6 +30,12 @@ struct Arrival {
 /// input.
 std::vector<Arrival> load_arrival_trace(std::istream& in);
 
+/// The compute-handler KService that open-loop requests target by
+/// convention: the request body is the core-seconds to burn (0.01 when
+/// absent) and the reply echoes the request's `body_bytes`, from a 512 MB,
+/// 1-CPU container with a 0.6 s boot. Callers set the annotations.
+[[nodiscard]] knative::KnServiceSpec compute_service(const std::string& name);
+
 /// Configuration for the open-loop traffic engine.
 struct OpenLoopConfig {
   /// Independent users. Each draws its own Poisson arrival process from a

@@ -22,8 +22,12 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc{};
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+// Out of line: once inlined into a caller, GCC pairs the std::free with
+// the operator new there and reports -Wmismatched-new-delete.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace sf::stats {
 namespace {

@@ -24,25 +24,7 @@ struct ServingHarness {
 
   explicit ServingHarness(int warm_pods = 2, int concurrency = 0) {
     hub.push(container::make_task_image("fn"));
-    knative::KnServiceSpec s;
-    s.name = "fn";
-    s.container.name = "fn";
-    s.container.image = "fn:latest";
-    s.container.memory_bytes = 512e6;
-    s.container.boot_s = 0.6;
-    s.container.cpu_limit = 1.0;
-    s.handler = [](const net::HttpRequest& req, knative::FunctionContext& ctx,
-                   net::Responder respond) {
-      const double work =
-          req.body.has_value() ? std::any_cast<double>(req.body) : 0.01;
-      ctx.exec(work, [respond = std::move(respond),
-                      bytes = req.body_bytes](bool ok) mutable {
-        net::HttpResponse resp;
-        resp.status = ok ? 200 : 500;
-        resp.body_bytes = bytes;
-        respond(std::move(resp));
-      });
-    };
+    knative::KnServiceSpec s = compute_service("fn");
     s.annotations.min_scale = warm_pods;
     s.annotations.container_concurrency = concurrency;
     serving.create_service(std::move(s));
