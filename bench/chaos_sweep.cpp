@@ -152,14 +152,14 @@ PointResult run_point(double intensity, int n_workflows, int tasks_each) {
   PointResult r;
   r.makespan_s = result.slowest;
   r.ok = result.all_succeeded;
-  r.crashes = injector.node_crashes();
-  r.pod_kills = injector.pod_kills();
-  r.outages = injector.registry_outages();
-  r.degrades = injector.degrades();
-  r.partitions = injector.partitions();
-  r.rack_cuts = injector.rack_partitions();
-  r.cpu_slows = injector.cpu_slows();
-  r.flaky = injector.flaky_nics();
+  r.crashes = injector.applied(fault::FaultKind::kNodeCrash);
+  r.pod_kills = injector.applied(fault::FaultKind::kPodKill);
+  r.outages = injector.applied(fault::FaultKind::kRegistryOutage);
+  r.degrades = injector.applied(fault::FaultKind::kLinkDegrade);
+  r.partitions = injector.applied(fault::FaultKind::kPartition);
+  r.rack_cuts = injector.applied(fault::FaultKind::kRackPartition);
+  r.cpu_slows = injector.applied(fault::FaultKind::kCpuSlow);
+  r.flaky = injector.applied(fault::FaultKind::kFlakyNic);
   r.condor_aborts = tb.condor().jobs_aborted();
   r.pods_replaced = tb.kube().controller_pods_replaced();
   return r;
@@ -248,9 +248,9 @@ AutoscaleResult run_autoscale_point(double intensity, int bursts,
   AutoscaleResult r;
   r.makespan_s = tb.sim().now() - t0;
   r.ok = done == total;
-  r.crashes = injector.node_crashes();
-  r.pod_kills = injector.pod_kills();
-  r.rack_cuts = injector.rack_partitions();
+  r.crashes = injector.applied(fault::FaultKind::kNodeCrash);
+  r.pod_kills = injector.applied(fault::FaultKind::kPodKill);
+  r.rack_cuts = injector.applied(fault::FaultKind::kRackPartition);
   r.cold_starts = tb.serving().cold_start_requests("fn-matmul");
   r.route_retries = tb.serving().route_retries("fn-matmul");
   r.driver_retries = driver_retries;
@@ -313,9 +313,9 @@ GrayResult run_gray_point(double intensity, bool ejection, int n_workflows,
   GrayResult r;
   r.makespan_s = result.slowest;
   r.ok = result.all_succeeded;
-  r.cpu_slows = injector.cpu_slows();
-  r.flaky = injector.flaky_nics();
-  r.oneway = injector.oneway_partitions();
+  r.cpu_slows = injector.applied(fault::FaultKind::kCpuSlow);
+  r.flaky = injector.applied(fault::FaultKind::kFlakyNic);
+  r.oneway = injector.applied(fault::FaultKind::kOnewayPartition);
   r.ejections = tb.serving().ejections("fn-matmul");
   r.readmissions = tb.serving().readmissions("fn-matmul");
   r.route_retries = tb.serving().route_retries("fn-matmul");
@@ -488,7 +488,7 @@ CatalogResult run_catalog_point(double intensity, bool resilient, int waves,
   CatalogResult r;
   r.makespan_s = tb.sim().now() - t0;
   r.ok = all_ok;
-  r.outages = injector.catalog_outages();
+  r.outages = injector.applied(fault::FaultKind::kCatalogOutage);
   const catalog::CatalogClient& client = *tb.catalog_client();
   r.lookups = client.lookups();
   r.cache_hits = client.cache_hits();

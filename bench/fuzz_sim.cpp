@@ -34,7 +34,7 @@
 
 #include "bench_util.hpp"
 #include "check/fuzz.hpp"
-#include "fault/splitmix.hpp"
+#include "fault/injector.hpp"
 #include "metrics/table.hpp"
 #include "sim/sweep_runner.hpp"
 
@@ -55,15 +55,11 @@ struct Point {
 
 /// Active fault channels of a case, e.g. "crash+kill" (empty = calm).
 std::string channel_tags(const check::FuzzCase& c) {
-  static const char* const kShort[] = {"crash", "pull",  "kill",   "degr",
-                                       "part",  "rackf", "rackp",  "storm",
-                                       "cpu",   "flaky", "oneway", "cat"};
   std::string tags;
-  const auto& channels = check::fuzz_channels();
-  for (std::size_t i = 0; i < channels.size(); ++i) {
-    if (c.*(channels[i].member) <= 0) continue;
+  for (const fault::Channel& ch : fault::kChannels) {
+    if (c.faults.*ch.mean <= 0) continue;
     if (!tags.empty()) tags += '+';
-    tags += kShort[i];
+    tags += ch.label;
   }
   return tags.empty() ? "calm" : tags;
 }
@@ -111,7 +107,7 @@ int main() {
     digest = fault::SplitMix64::mix(digest, p.out.fingerprint);
     table.add_row({static_cast<std::int64_t>(p.c.id),
                    static_cast<std::int64_t>(p.c.nodes),
-                   static_cast<std::int64_t>(p.c.racks),
+                   static_cast<std::int64_t>(p.c.faults.racks),
                    static_cast<std::int64_t>(p.c.workflows),
                    static_cast<std::int64_t>(p.c.tasks),
                    p.c.serverless_fraction,

@@ -51,7 +51,7 @@ if [[ "${1:-}" == "--figures" ]]; then
            ablate_concurrency ablate_clustering ablate_redirection
            ablate_resizing ablate_complex_workflow ablate_event_driven)
   cmake -B "$build_dir" -S "$repo_root"
-  cmake --build "$build_dir" --target "${figures[@]}" -j
+  cmake --build "$build_dir" --target "${figures[@]}" -j "$(nproc)"
   tmp="$(mktemp -d)"
   trap 'rm -rf "$tmp"' EXIT
   for fig in "${figures[@]}"; do
@@ -70,7 +70,7 @@ if [[ "${1:-}" == "--scale" ]]; then
   build_dir="${2:-$repo_root/build}"
   golden="$repo_root/tests/golden/scale_smoke.txt"
   cmake -B "$build_dir" -S "$repo_root"
-  cmake --build "$build_dir" --target scale_sweep -j
+  cmake --build "$build_dir" --target scale_sweep -j "$(nproc)"
   tmp="$(mktemp -d)"
   trap 'rm -rf "$tmp"' EXIT
   SF_SCALE_SMOKE=1 SF_SWEEP_THREADS=1 \
@@ -89,7 +89,7 @@ if [[ "${1:-}" == "--fuzz" ]]; then
   build_dir="${2:-$repo_root/build}"
   golden="$repo_root/tests/golden/fuzz_smoke.txt"
   cmake -B "$build_dir" -S "$repo_root"
-  cmake --build "$build_dir" --target fuzz_sim -j
+  cmake --build "$build_dir" --target fuzz_sim -j "$(nproc)"
   tmp="$(mktemp -d)"
   trap 'rm -rf "$tmp"' EXIT
   SF_FUZZ_SMOKE=1 SF_SWEEP_THREADS=1 \
@@ -108,7 +108,7 @@ if [[ "${1:-}" == "--chaos" ]]; then
   build_dir="${2:-$repo_root/build}"
   golden="$repo_root/tests/golden/chaos_smoke.txt"
   cmake -B "$build_dir" -S "$repo_root"
-  cmake --build "$build_dir" --target chaos_sweep -j
+  cmake --build "$build_dir" --target chaos_sweep -j "$(nproc)"
   tmp="$(mktemp -d)"
   trap 'rm -rf "$tmp"' EXIT
   SF_CHAOS_SMOKE=1 SF_SWEEP_THREADS=1 \
@@ -129,7 +129,7 @@ if [[ "${1:-}" == "--asan" ]]; then
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-omit-frame-pointer -g" \
     -DSERVERFLOW_BUILD_BENCH=OFF \
     -DSERVERFLOW_BUILD_EXAMPLES=OFF
-  cmake --build "$build_dir" -j
+  cmake --build "$build_dir" -j "$(nproc)"
   ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
   exit 0
 fi
@@ -140,7 +140,7 @@ if [[ "${1:-}" == "--tsan" ]]; then
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer -g" \
     -DSERVERFLOW_BUILD_BENCH=OFF \
     -DSERVERFLOW_BUILD_EXAMPLES=OFF
-  cmake --build "$build_dir" --target sim_test -j
+  cmake --build "$build_dir" --target sim_test -j "$(nproc)"
   ctest --test-dir "$build_dir" --output-on-failure -R 'SweepRunnerTest' \
     -j "$(nproc)"
   exit 0
@@ -148,5 +148,5 @@ fi
 
 build_dir="${1:-$repo_root/build}"
 cmake -B "$build_dir" -S "$repo_root"
-cmake --build "$build_dir" -j
+cmake --build "$build_dir" -j "$(nproc)"
 ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"

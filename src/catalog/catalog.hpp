@@ -257,16 +257,22 @@ class CatalogClient {
   void breaker_on_success();
   void breaker_on_failure();
 
-  void start_fetch(const std::string& lfn, int attempt);
-  void settle(const std::string& lfn, bool ok, storage::Volume* vol);
+  /// What one guarded call sends: a lookup of `lfn`, or a registration
+  /// of `lfn` at `volume` when it is set.
+  struct Request {
+    std::string lfn;
+    storage::Volume* volume = nullptr;
+  };
+  /// One guarded service call: the breaker gate and half-open promotion,
+  /// the service-call accounting and the jittered retry ladder. `done`
+  /// gets the reply that ended it — ok, or not ok once the breaker
+  /// refused or the retries ran out.
+  void call(Request request, CatalogService::ReplyCallback done,
+            int attempt = 0);
+  /// Fetch answered: caches the entry and releases the waiters.
+  void settle(const std::string& lfn, storage::Volume* vol);
   /// Degraded completion: serve a stale entry when allowed, else error.
   void degrade(const std::string& lfn);
-  /// Uncoalesced per-call fetch used when the cache layer is disabled
-  /// (the ablation's naive arm): same retry/breaker, no sharing.
-  void direct_fetch(const std::string& lfn, int attempt,
-                    LookupCallback on_done);
-  void register_attempt(const std::string& lfn, storage::Volume* volume,
-                        int attempt, std::function<void(bool ok)> on_done);
 
   sim::Simulation& sim_;
   CatalogService& service_;

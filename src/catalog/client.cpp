@@ -26,7 +26,10 @@ void CatalogClient::lookup(const std::string& lfn, LookupCallback on_done) {
   if (!cfg_.cache_enabled) {
     // Naive arm: every resolution is its own service call — no cache, no
     // coalescing. Retry and breaker still apply.
-    direct_fetch(lfn, 0, std::move(on_done));
+    call({lfn}, [this, on_done = std::move(on_done)](CatalogReply reply) {
+      if (!reply.ok) ++errors_;
+      on_done(reply.ok, reply.volume);
+    });
     return;
   }
   const double now = sim_.now();
@@ -49,13 +52,31 @@ void CatalogClient::lookup(const std::string& lfn, LookupCallback on_done) {
     return;
   }
   in_flight_[lfn].waiters.push_back(std::move(on_done));
-  start_fetch(lfn, 0);
+  call({lfn}, [this, lfn](CatalogReply reply) {
+    if (reply.ok) {
+      settle(lfn, reply.volume);
+    } else {
+      degrade(lfn);
+    }
+  });
 }
 
 void CatalogClient::register_replica(const std::string& lfn,
                                      storage::Volume& volume,
                                      std::function<void(bool ok)> on_done) {
-  register_attempt(lfn, &volume, 0, std::move(on_done));
+  call({lfn, &volume}, [this, lfn, &volume, on_done = std::move(on_done)](
+                           CatalogReply reply) {
+    if (!reply.ok) {
+      ++errors_;
+      on_done(false);
+      return;
+    }
+    if (cfg_.cache_enabled) {
+      // Write-through: the registered replica is immediately fresh.
+      cache_[lfn] = Entry{&volume, sim_.now() + cfg_.ttl_s};
+    }
+    on_done(true);
+  });
 }
 
 void CatalogClient::invalidate(const std::string& lfn) {
@@ -99,52 +120,54 @@ void CatalogClient::breaker_on_failure() {
   }
 }
 
-void CatalogClient::start_fetch(const std::string& lfn, int attempt) {
+void CatalogClient::call(Request request, CatalogService::ReplyCallback done,
+                         int attempt) {
   if (breaker_blocking()) {
-    degrade(lfn);
+    done(CatalogReply{});
     return;
   }
   if (cfg_.breaker_enabled && breaker_ == BreakerState::kOpen) {
-    // Open window elapsed: promote this fetch to the half-open probe.
+    // Open window elapsed: promote this call to the half-open probe.
     breaker_ = BreakerState::kHalfOpen;
     half_open_probe_out_ = true;
   }
   if (breaker_ == BreakerState::kOpen) ++calls_while_open_;
   ++service_calls_;
-  service_.lookup_replica(
-      client_net_, lfn, [this, lfn, attempt](CatalogReply reply) {
-        if (reply.ok) {
-          breaker_on_success();
-          settle(lfn, true, reply.volume);
-          return;
-        }
-        breaker_on_failure();
-        if (breaker_blocking() || cfg_.retry.exhausted(attempt)) {
-          degrade(lfn);
-          return;
-        }
-        ++retries_;
-        const double delay =
-            cfg_.retry.backoff_jittered(attempt, sim_.rng());
-        sim_.call_in(delay,
-                     [this, lfn, attempt] { start_fetch(lfn, attempt + 1); });
-      });
+  auto on_reply = [this, request, done = std::move(done),
+                   attempt](CatalogReply reply) mutable {
+    if (reply.ok) {
+      breaker_on_success();
+      done(reply);
+      return;
+    }
+    breaker_on_failure();
+    if (breaker_blocking() || cfg_.retry.exhausted(attempt)) {
+      done(reply);
+      return;
+    }
+    ++retries_;
+    const double delay = cfg_.retry.backoff_jittered(attempt, sim_.rng());
+    sim_.call_in(delay, [this, request = std::move(request),
+                         done = std::move(done), attempt]() mutable {
+      call(std::move(request), std::move(done), attempt + 1);
+    });
+  };
+  if (request.volume != nullptr) {
+    service_.register_replica(client_net_, request.lfn, *request.volume,
+                              std::move(on_reply));
+  } else {
+    service_.lookup_replica(client_net_, request.lfn, std::move(on_reply));
+  }
 }
 
-void CatalogClient::settle(const std::string& lfn, bool ok,
-                           storage::Volume* vol) {
-  if (ok) {
-    Entry entry;
-    entry.volume = vol;
-    entry.expires_at =
-        sim_.now() + (vol != nullptr ? cfg_.ttl_s : cfg_.negative_ttl_s);
-    cache_[lfn] = entry;
-  }
+void CatalogClient::settle(const std::string& lfn, storage::Volume* vol) {
+  cache_[lfn] = Entry{
+      vol, sim_.now() + (vol != nullptr ? cfg_.ttl_s : cfg_.negative_ttl_s)};
   auto flight = in_flight_.find(lfn);
   if (flight == in_flight_.end()) return;
   std::vector<LookupCallback> waiters = std::move(flight->second.waiters);
   in_flight_.erase(flight);
-  for (auto& waiter : waiters) waiter(ok, vol);
+  for (auto& waiter : waiters) waiter(true, vol);
 }
 
 void CatalogClient::degrade(const std::string& lfn) {
@@ -171,90 +194,6 @@ void CatalogClient::degrade(const std::string& lfn) {
       waiter(false, nullptr);
     }
   }
-}
-
-void CatalogClient::direct_fetch(const std::string& lfn, int attempt,
-                                 LookupCallback on_done) {
-  if (breaker_blocking()) {
-    ++errors_;
-    on_done(false, nullptr);
-    return;
-  }
-  if (cfg_.breaker_enabled && breaker_ == BreakerState::kOpen) {
-    breaker_ = BreakerState::kHalfOpen;
-    half_open_probe_out_ = true;
-  }
-  if (breaker_ == BreakerState::kOpen) ++calls_while_open_;
-  ++service_calls_;
-  service_.lookup_replica(
-      client_net_, lfn,
-      [this, lfn, attempt,
-       on_done = std::move(on_done)](CatalogReply reply) mutable {
-        if (reply.ok) {
-          breaker_on_success();
-          on_done(true, reply.volume);
-          return;
-        }
-        breaker_on_failure();
-        if (breaker_blocking() || cfg_.retry.exhausted(attempt)) {
-          ++errors_;
-          on_done(false, nullptr);
-          return;
-        }
-        ++retries_;
-        const double delay =
-            cfg_.retry.backoff_jittered(attempt, sim_.rng());
-        sim_.call_in(delay, [this, lfn, attempt,
-                             on_done = std::move(on_done)]() mutable {
-          direct_fetch(lfn, attempt + 1, std::move(on_done));
-        });
-      });
-}
-
-void CatalogClient::register_attempt(const std::string& lfn,
-                                     storage::Volume* volume, int attempt,
-                                     std::function<void(bool ok)> on_done) {
-  if (breaker_blocking()) {
-    ++errors_;
-    on_done(false);
-    return;
-  }
-  if (cfg_.breaker_enabled && breaker_ == BreakerState::kOpen) {
-    breaker_ = BreakerState::kHalfOpen;
-    half_open_probe_out_ = true;
-  }
-  if (breaker_ == BreakerState::kOpen) ++calls_while_open_;
-  ++service_calls_;
-  service_.register_replica(
-      client_net_, lfn, *volume,
-      [this, lfn, volume, attempt,
-       on_done = std::move(on_done)](CatalogReply reply) mutable {
-        if (reply.ok) {
-          breaker_on_success();
-          if (cfg_.cache_enabled) {
-            // Write-through: the registered replica is immediately fresh.
-            Entry entry;
-            entry.volume = volume;
-            entry.expires_at = sim_.now() + cfg_.ttl_s;
-            cache_[lfn] = entry;
-          }
-          on_done(true);
-          return;
-        }
-        breaker_on_failure();
-        if (breaker_blocking() || cfg_.retry.exhausted(attempt)) {
-          ++errors_;
-          on_done(false);
-          return;
-        }
-        ++retries_;
-        const double delay =
-            cfg_.retry.backoff_jittered(attempt, sim_.rng());
-        sim_.call_in(delay, [this, lfn, volume, attempt,
-                             on_done = std::move(on_done)]() mutable {
-          register_attempt(lfn, volume, attempt + 1, std::move(on_done));
-        });
-      });
 }
 
 }  // namespace sf::catalog

@@ -39,76 +39,10 @@ enum : std::uint64_t {
   kTagOpenLoopRate = 0x21,
   kTagOutlier = 0x22,
   kTagCatalog = 0x23,
-  kTagChannelBase = 0xA1,  // one stream per channel, 0xA1..0xAC
+  // Fault channels draw from their plan stream tags (fault::kChannels).
 };
 
-/// Longest time any active fault window needs to heal after the plan
-/// horizon — the settle pad before quiesce invariants may be asserted.
-double max_heal_window(const fault::FaultConfig& fc, int nodes) {
-  double m = 0;
-  if (fc.node_crash_mean_s > 0) m = std::max(m, fc.node_downtime_s);
-  if (fc.pull_outage_mean_s > 0) m = std::max(m, fc.pull_outage_duration_s);
-  if (fc.degrade_mean_s > 0) m = std::max(m, fc.degrade_duration_s);
-  if (fc.partition_mean_s > 0) m = std::max(m, fc.partition_duration_s);
-  if (fc.rack_fail_mean_s > 0) {
-    m = std::max(m, fc.rack_fail_downtime_s +
-                        fc.rack_fail_stagger_s * static_cast<double>(nodes));
-  }
-  if (fc.rack_partition_mean_s > 0) {
-    m = std::max(m, fc.rack_partition_duration_s);
-  }
-  if (fc.deploy_storm_mean_s > 0) {
-    m = std::max(m, fc.deploy_storm_outage_s + fc.deploy_storm_spread_s);
-  }
-  if (fc.cpu_slow_mean_s > 0) m = std::max(m, fc.cpu_slow_duration_s);
-  if (fc.flaky_nic_mean_s > 0) m = std::max(m, fc.flaky_nic_duration_s);
-  if (fc.oneway_partition_mean_s > 0) {
-    m = std::max(m, fc.oneway_partition_duration_s);
-  }
-  if (fc.catalog_outage_mean_s > 0) {
-    m = std::max(m, fc.catalog_outage_duration_s);
-  }
-  return m;
-}
-
-fault::FaultConfig fault_config_for(const FuzzCase& c) {
-  fault::FaultConfig fc;
-  fc.horizon_s = c.horizon_s;
-  fc.racks = static_cast<std::uint32_t>(c.racks);
-  fc.node_crash_mean_s = c.node_crash_mean_s;
-  fc.pull_outage_mean_s = c.pull_outage_mean_s;
-  fc.pod_kill_mean_s = c.pod_kill_mean_s;
-  fc.degrade_mean_s = c.degrade_mean_s;
-  fc.partition_mean_s = c.partition_mean_s;
-  fc.rack_fail_mean_s = c.rack_fail_mean_s;
-  fc.rack_partition_mean_s = c.rack_partition_mean_s;
-  fc.deploy_storm_mean_s = c.deploy_storm_mean_s;
-  fc.cpu_slow_mean_s = c.cpu_slow_mean_s;
-  fc.flaky_nic_mean_s = c.flaky_nic_mean_s;
-  fc.oneway_partition_mean_s = c.oneway_partition_mean_s;
-  fc.catalog_outage_mean_s = c.catalog_outage_mean_s;
-  return fc;
-}
-
 }  // namespace
-
-const std::vector<ChannelRef>& fuzz_channels() {
-  static const std::vector<ChannelRef> channels = {
-      {"node_crash_mean_s", &FuzzCase::node_crash_mean_s},
-      {"pull_outage_mean_s", &FuzzCase::pull_outage_mean_s},
-      {"pod_kill_mean_s", &FuzzCase::pod_kill_mean_s},
-      {"degrade_mean_s", &FuzzCase::degrade_mean_s},
-      {"partition_mean_s", &FuzzCase::partition_mean_s},
-      {"rack_fail_mean_s", &FuzzCase::rack_fail_mean_s},
-      {"rack_partition_mean_s", &FuzzCase::rack_partition_mean_s},
-      {"deploy_storm_mean_s", &FuzzCase::deploy_storm_mean_s},
-      {"cpu_slow_mean_s", &FuzzCase::cpu_slow_mean_s},
-      {"flaky_nic_mean_s", &FuzzCase::flaky_nic_mean_s},
-      {"oneway_partition_mean_s", &FuzzCase::oneway_partition_mean_s},
-      {"catalog_outage_mean_s", &FuzzCase::catalog_outage_mean_s},
-  };
-  return channels;
-}
 
 FuzzCase random_case(std::uint64_t base_seed, std::uint64_t index) {
   const std::uint64_t root = SplitMix64::mix(base_seed, index);
@@ -120,7 +54,8 @@ FuzzCase random_case(std::uint64_t base_seed, std::uint64_t index) {
   auto draw = [root](std::uint64_t tag) { return SplitMix64::fork(root, tag); };
 
   c.nodes = 3 + static_cast<int>(draw(kTagNodes).next_below(3));     // 3..5
-  c.racks = 1 + static_cast<int>(draw(kTagRacks).next_below(2));     // 1..2
+  c.faults.racks =
+      1 + static_cast<std::uint32_t>(draw(kTagRacks).next_below(2));  // 1..2
   c.workflows =
       1 + static_cast<int>(draw(kTagWorkflows).next_below(3));       // 1..3
   c.tasks = 2 + static_cast<int>(draw(kTagTasks).next_below(4));     // 2..5
@@ -136,7 +71,7 @@ FuzzCase random_case(std::uint64_t base_seed, std::uint64_t index) {
   // Metadata tier on roughly a third of cases: stage-in/out over the wire
   // through the cache / retry / breaker stack, under every fault channel.
   c.catalog_service = draw(kTagCatalog).next_below(3) == 0;
-  c.horizon_s =
+  c.faults.horizon_s =
       240.0 + 60.0 * static_cast<double>(draw(kTagHorizon).next_below(4));
 
   // Open-loop ambient traffic on roughly a third of cases: 2..4 users at
@@ -151,11 +86,10 @@ FuzzCase random_case(std::uint64_t base_seed, std::uint64_t index) {
 
   // Each channel flips on with probability 1/2; when on, its mean lands
   // in [0.3, 1.0] × horizon — a handful of events per run, not a storm.
-  const auto& channels = fuzz_channels();
-  for (std::size_t i = 0; i < channels.size(); ++i) {
-    auto g = draw(kTagChannelBase + i);
+  for (const fault::Channel& ch : fault::kChannels) {
+    auto g = draw(ch.stream);
     if (g.next_below(2) == 0) continue;
-    c.*(channels[i].member) = c.horizon_s * (0.3 + 0.7 * g.next_double());
+    c.faults.*ch.mean = c.faults.horizon_s * (0.3 + 0.7 * g.next_double());
   }
   return c;
 }
@@ -167,16 +101,18 @@ FuzzOutcome run_case(const FuzzCase& c) {
   opts.prestage_images = c.prestage;
   // Generous hang wall: any live run finishes well inside it; a run that
   // doesn't has genuinely wedged (lost callback, unreleased claim, ...).
-  opts.run_deadline_s = c.horizon_s + 1800.0;
+  opts.run_deadline_s = c.faults.horizon_s + 1800.0;
   opts.catalog.enabled = c.catalog_service;
   core::PaperTestbed tb(c.seed, opts);
 
-  const fault::FaultConfig fc = fault_config_for(c);
-  fault::FaultInjector injector(tb, fc, c.fault_seed);
+  fault::FaultInjector injector(tb, c.faults, c.fault_seed);
 
   if (c.plant_claim_leak) tb.condor().test_only_keep_claims_on_crash(true);
 
-  const double settle_end = c.horizon_s + max_heal_window(fc, c.nodes) + 300.0;
+  const double settle_end =
+      c.faults.horizon_s +
+      fault::heal_window_s(c.faults, static_cast<std::uint32_t>(c.nodes)) +
+      300.0;
   CheckConfig cc;
   cc.horizon_s = settle_end;
   InvariantChecker checker(tb, cc);
@@ -217,7 +153,7 @@ FuzzOutcome run_case(const FuzzCase& c) {
     workload::OpenLoopConfig ol;
     ol.users = c.openloop_users;
     ol.rate_hz = c.openloop_rate_hz;
-    ol.horizon_s = std::min(120.0, c.horizon_s / 2);
+    ol.horizon_s = std::min(120.0, c.faults.horizon_s / 2);
     ol.services = {"fn-open"};
     ol.work_s = 0.05;
     ol.payload_bytes = 10000;
@@ -346,16 +282,14 @@ ShrinkResult shrink(const FuzzCase& failing, int budget) {
     return true;
   };
 
-  const auto& channels = fuzz_channels();
-
   // Phase 1 — fault-channel bisection: drop half the active channels at
   // a time, then singles, until no channel can be removed.
   bool progress = true;
   while (progress && res.trials < budget) {
     progress = false;
-    std::vector<double FuzzCase::*> active;
-    for (const auto& ch : channels) {
-      if (res.reduced.*(ch.member) > 0) active.push_back(ch.member);
+    std::vector<double fault::FaultConfig::*> active;
+    for (const fault::Channel& ch : fault::kChannels) {
+      if (res.reduced.faults.*ch.mean > 0) active.push_back(ch.mean);
     }
     if (active.size() >= 2) {
       for (int half = 0; half < 2 && !progress; ++half) {
@@ -363,14 +297,14 @@ ShrinkResult shrink(const FuzzCase& failing, int budget) {
         const std::size_t mid = active.size() / 2;
         const std::size_t lo = half == 0 ? 0 : mid;
         const std::size_t hi = half == 0 ? mid : active.size();
-        for (std::size_t i = lo; i < hi; ++i) cand.*(active[i]) = 0;
+        for (std::size_t i = lo; i < hi; ++i) cand.faults.*active[i] = 0;
         progress = try_reduce(cand);
       }
     }
     if (!progress) {
-      for (const auto member : active) {
+      for (const auto mean : active) {
         FuzzCase cand = res.reduced;
-        cand.*member = 0;
+        cand.faults.*mean = 0;
         if (try_reduce(cand)) {
           progress = true;
           break;
@@ -403,14 +337,15 @@ ShrinkResult shrink(const FuzzCase& failing, int budget) {
       if (cand.nodes > 3) {
         cand.nodes = cand.nodes - 1;
         // Rack topology must stay valid as the cluster shrinks.
-        cand.racks = std::min(cand.racks, cand.nodes - 1);
+        cand.faults.racks = std::min(
+            cand.faults.racks, static_cast<std::uint32_t>(cand.nodes - 1));
         progress |= try_reduce(cand);
       }
     }
     {
       FuzzCase cand = res.reduced;
-      if (cand.racks > 1) {
-        cand.racks = 1;
+      if (cand.faults.racks > 1) {
+        cand.faults.racks = 1;
         progress |= try_reduce(cand);
       }
     }
@@ -461,7 +396,7 @@ ShrinkResult shrink(const FuzzCase& failing, int budget) {
       FuzzCase cand = res.reduced;
       if (cand.catalog_service) {
         cand.catalog_service = false;
-        cand.catalog_outage_mean_s = 0;  // skipped-only without the tier
+        cand.faults.catalog_outage_mean_s = 0;  // skipped without the tier
         progress |= try_reduce(cand);
       }
     }
@@ -469,19 +404,19 @@ ShrinkResult shrink(const FuzzCase& failing, int budget) {
 
   // Phase 3 — horizon bisection: a shorter plan window means fewer fault
   // events and a faster repro.
-  while (res.reduced.horizon_s > 120 && res.trials < budget) {
+  while (res.reduced.faults.horizon_s > 120 && res.trials < budget) {
     FuzzCase cand = res.reduced;
-    cand.horizon_s = std::max(120.0, cand.horizon_s / 2);
+    cand.faults.horizon_s = std::max(120.0, cand.faults.horizon_s / 2);
     if (!try_reduce(cand)) break;
   }
 
   // Phase 4 — thin the surviving channels: doubling a mean halves its
   // expected event count while keeping the channel's stream intact.
-  for (const auto& ch : channels) {
+  for (const fault::Channel& ch : fault::kChannels) {
     for (int step = 0; step < 2 && res.trials < budget; ++step) {
-      if (res.reduced.*(ch.member) <= 0) break;
+      if (res.reduced.faults.*ch.mean <= 0) break;
       FuzzCase cand = res.reduced;
-      cand.*(ch.member) *= 2;
+      cand.faults.*ch.mean *= 2;
       if (!try_reduce(cand)) break;
     }
   }
@@ -502,7 +437,6 @@ std::string to_cpp_repro(const FuzzCase& c) {
   os << "  c.fault_seed = 0x" << std::hex << c.fault_seed << std::dec
      << "ull;\n";
   os << "  c.nodes = " << c.nodes << ";\n";
-  os << "  c.racks = " << c.racks << ";\n";
   os << "  c.workflows = " << c.workflows << ";\n";
   os << "  c.tasks = " << c.tasks << ";\n";
   os << "  c.dag_retries = " << c.dag_retries << ";\n";
@@ -516,9 +450,10 @@ std::string to_cpp_repro(const FuzzCase& c) {
      << ";\n";
   os << "  c.openloop_users = " << c.openloop_users << ";\n";
   os << "  c.openloop_rate_hz = " << c.openloop_rate_hz << ";\n";
-  os << "  c.horizon_s = " << c.horizon_s << ";\n";
-  for (const auto& ch : fuzz_channels()) {
-    os << "  c." << ch.name << " = " << c.*(ch.member) << ";\n";
+  os << "  c.faults.horizon_s = " << c.faults.horizon_s << ";\n";
+  os << "  c.faults.racks = " << c.faults.racks << ";\n";
+  for (const fault::Channel& ch : fault::kChannels) {
+    os << "  c.faults." << ch.name << " = " << c.faults.*ch.mean << ";\n";
   }
   if (c.plant_claim_leak) {
     os << "  c.plant_claim_leak = true;\n";

@@ -4,13 +4,15 @@
 #include <string>
 #include <vector>
 
+#include "fault/injector.hpp"
+
 namespace sf::check {
 
 /// One point in the property-fuzzer's search space: everything that
 /// shapes a run — testbed seed, topology, workload shape, provisioning,
-/// and the twelve fault-channel intensities — in one flat, plain-old-data
-/// struct. Flat on purpose: the shrinker reduces it field by field, and
-/// to_cpp_repro() prints it as a pasteable regression test.
+/// and the fault plan's horizon, racks and twelve channel intensities —
+/// in one plain-old-data struct. The shrinker reduces it field by field,
+/// and to_cpp_repro() prints it as a pasteable regression test.
 struct FuzzCase {
   std::uint64_t id = 0;  ///< sweep point index (provenance only)
   std::uint64_t seed = 42;              ///< testbed / workload RNG seed
@@ -18,7 +20,6 @@ struct FuzzCase {
 
   // -- topology & workload shape --------------------------------------
   int nodes = 4;      ///< cluster size (node 0 = head)
-  int racks = 1;      ///< fault-plan rack topology
   int workflows = 1;  ///< concurrent matmul chains
   int tasks = 3;      ///< tasks per chain
   int dag_retries = 4;
@@ -49,36 +50,16 @@ struct FuzzCase {
   int openloop_users = 0;
   double openloop_rate_hz = 0;  ///< per-user arrival rate when on
 
-  // -- fault plan -----------------------------------------------------
-  double horizon_s = 300;  ///< fault-plan window [0, horizon)
-  /// Channel mean inter-arrival times; 0 = channel off. Forked RNG
-  /// streams per channel mean zeroing one never perturbs the others —
-  /// what makes the shrinker's channel bisection meaningful.
-  double node_crash_mean_s = 0;
-  double pull_outage_mean_s = 0;
-  double pod_kill_mean_s = 0;
-  double degrade_mean_s = 0;
-  double partition_mean_s = 0;
-  double rack_fail_mean_s = 0;
-  double rack_partition_mean_s = 0;
-  double deploy_storm_mean_s = 0;
-  double cpu_slow_mean_s = 0;
-  double flaky_nic_mean_s = 0;
-  double oneway_partition_mean_s = 0;
-  double catalog_outage_mean_s = 0;
+  /// The fault plan: horizon, rack topology and channel means (0 = off;
+  /// fault::kChannels lists them). Forked RNG streams per channel mean
+  /// zeroing one never perturbs the others — what makes the shrinker's
+  /// channel bisection meaningful.
+  fault::FaultConfig faults{.horizon_s = 300};
 
   /// TEST-ONLY mutation hook: plants the "keep claims on startd crash"
   /// bug in the condor pool, proving the invariant registry detects it.
   bool plant_claim_leak = false;
 };
-
-/// Name → member mapping for the fault channels (shrinker, repro
-/// printer, drivers that report which channels a case exercises).
-struct ChannelRef {
-  const char* name;
-  double FuzzCase::*member;
-};
-[[nodiscard]] const std::vector<ChannelRef>& fuzz_channels();
 
 /// Draws case `index` of the sweep rooted at `base_seed`: every field
 /// comes from a forked SplitMix64 stream, so the same (base_seed, index)

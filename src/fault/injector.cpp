@@ -1,6 +1,7 @@
 #include "fault/injector.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <tuple>
 #include <utility>
 
@@ -32,47 +33,20 @@ const char* to_string(FaultKind kind) {
   return "unknown";
 }
 
-namespace {
-
-/// Stream tags; the tag value is part of the determinism contract (a
-/// renumbering would change every plan), so they are fixed here rather
-/// than derived from enum order.
-constexpr std::uint64_t kTagNodeCrash = 0xA1;
-constexpr std::uint64_t kTagPullOutage = 0xA2;
-constexpr std::uint64_t kTagPodKill = 0xA3;
-constexpr std::uint64_t kTagDegrade = 0xA4;
-constexpr std::uint64_t kTagPartition = 0xA5;
-constexpr std::uint64_t kTagRackFail = 0xA6;
-constexpr std::uint64_t kTagRackPartition = 0xA7;
-constexpr std::uint64_t kTagDeployStorm = 0xA8;
-constexpr std::uint64_t kTagCpuSlow = 0xA9;
-constexpr std::uint64_t kTagFlakyNic = 0xAA;
-constexpr std::uint64_t kTagOnewayPartition = 0xAB;
-constexpr std::uint64_t kTagCatalogOutage = 0xAC;
-
-/// Incident-id bases, one block per correlated channel: ids only need to
-/// be unique within a plan, and a fixed base per channel keeps them
-/// stable under config changes to the other channels.
-constexpr std::uint32_t kIncidentRackFail = 0x10000;
-constexpr std::uint32_t kIncidentDeployStorm = 0x20000;
-constexpr std::uint32_t kIncidentRackPartition = 0x30000;
-
-/// Poisson arrivals on [0, horizon): appends one event per arrival via
-/// `emit(t, rng)`. Each channel owns a forked stream, so channels never
-/// perturb each other's timelines.
-template <typename Emit>
-void arrivals(std::uint64_t seed, std::uint64_t tag, double mean_s,
-              double horizon_s, Emit&& emit) {
-  if (mean_s <= 0) return;
-  SplitMix64 rng = SplitMix64::fork(seed, tag);
-  double t = rng.exponential(mean_s);
-  while (t < horizon_s) {
-    emit(t, rng);
-    t += rng.exponential(mean_s);
+double heal_window_s(const FaultConfig& cfg, std::uint32_t node_count) {
+  double longest = 0;
+  for (const Channel& ch : kChannels) {
+    if (cfg.*ch.mean <= 0) continue;
+    double window = ch.duration != nullptr ? cfg.*ch.duration : 0;
+    if (ch.target == Target::kRackPdu) {
+      window += cfg.rack_fail_stagger_s * static_cast<double>(node_count);
+    } else if (ch.target == Target::kDeployStorm) {
+      window += cfg.deploy_storm_spread_s;
+    }
+    longest = std::max(longest, window);
   }
+  return longest;
 }
-
-}  // namespace
 
 std::vector<FaultEvent> make_fault_plan(std::uint64_t seed,
                                         const FaultConfig& cfg,
@@ -85,83 +59,6 @@ std::vector<FaultEvent> make_fault_plan(std::uint64_t seed,
   const std::uint32_t first = cfg.spare_head_node ? 1 : 0;
   const std::uint32_t crashable =
       node_count > first ? node_count - first : 0;
-
-  // ---- Independent fail-stop channels -------------------------------
-  if (crashable > 0) {
-    arrivals(seed, kTagNodeCrash, cfg.node_crash_mean_s, cfg.horizon_s,
-             [&](double t, SplitMix64& rng) {
-               FaultEvent ev;
-               ev.at = t;
-               ev.kind = FaultKind::kNodeCrash;
-               ev.node = first + static_cast<std::uint32_t>(
-                                     rng.next_below(crashable));
-               ev.duration_s = cfg.node_downtime_s;
-               plan.push_back(ev);
-             });
-  }
-  if (node_count > 0) {
-    arrivals(seed, kTagDegrade, cfg.degrade_mean_s, cfg.horizon_s,
-             [&](double t, SplitMix64& rng) {
-               FaultEvent ev;
-               ev.at = t;
-               ev.kind = FaultKind::kLinkDegrade;
-               ev.node = static_cast<std::uint32_t>(
-                   rng.next_below(node_count));
-               ev.duration_s = cfg.degrade_duration_s;
-               ev.factor = std::clamp(cfg.degrade_factor, 1e-6, 1.0);
-               plan.push_back(ev);
-             });
-  }
-  if (node_count > 1) {
-    arrivals(seed, kTagPartition, cfg.partition_mean_s, cfg.horizon_s,
-             [&](double t, SplitMix64& rng) {
-               FaultEvent ev;
-               ev.at = t;
-               ev.kind = FaultKind::kPartition;
-               ev.node = static_cast<std::uint32_t>(
-                   rng.next_below(node_count));
-               // Peer drawn from the remaining nodes, shifted past the
-               // victim so the pair is always distinct.
-               const std::uint32_t other = static_cast<std::uint32_t>(
-                   rng.next_below(node_count - 1));
-               ev.peer = other >= ev.node ? other + 1 : other;
-               ev.duration_s = cfg.partition_duration_s;
-               plan.push_back(ev);
-             });
-  }
-  arrivals(seed, kTagPullOutage, cfg.pull_outage_mean_s, cfg.horizon_s,
-           [&](double t, SplitMix64&) {
-             FaultEvent ev;
-             ev.at = t;
-             ev.kind = FaultKind::kRegistryOutage;
-             ev.duration_s = cfg.pull_outage_duration_s;
-             plan.push_back(ev);
-           });
-  arrivals(seed, kTagPodKill, cfg.pod_kill_mean_s, cfg.horizon_s,
-           [&](double t, SplitMix64& rng) {
-             FaultEvent ev;
-             ev.at = t;
-             ev.kind = FaultKind::kPodKill;
-             ev.pick = rng.next();
-             plan.push_back(ev);
-           });
-  arrivals(seed, kTagCatalogOutage, cfg.catalog_outage_mean_s, cfg.horizon_s,
-           [&](double t, SplitMix64&) {
-             FaultEvent ev;
-             ev.at = t;
-             ev.kind = FaultKind::kCatalogOutage;
-             ev.duration_s = cfg.catalog_outage_duration_s;
-             plan.push_back(ev);
-           });
-
-  // ---- Correlated incidents ------------------------------------------
-  //
-  // Each incident is expanded HERE, at plan time, into its member events:
-  // the burst structure (which nodes, what jitter) is as seed-pure as the
-  // arrival times, and members carry a shared incident id.
-
-  // Rack PDU trip: every crashable node in one rack crashes within a
-  // stagger window (power supplies don't drop in perfect sync).
   std::vector<std::uint32_t> pdu_racks;  // racks with ≥1 crashable node
   for (std::uint32_t r = 0; r < racks.rack_count(); ++r) {
     const auto& members = racks.nodes_in(r);
@@ -170,109 +67,98 @@ std::vector<FaultEvent> make_fault_plan(std::uint64_t seed,
       pdu_racks.push_back(r);
     }
   }
-  if (!pdu_racks.empty()) {
-    std::uint32_t incident = kIncidentRackFail;
-    arrivals(seed, kTagRackFail, cfg.rack_fail_mean_s, cfg.horizon_s,
-             [&](double t, SplitMix64& rng) {
-               const std::uint32_t rack = pdu_racks[static_cast<std::size_t>(
-                   rng.next_below(pdu_racks.size()))];
-               ++incident;
-               for (const std::uint32_t n : racks.nodes_in(rack)) {
-                 if (n < first) continue;  // head survives its rack's PDU
-                 FaultEvent ev;
-                 ev.at = t + rng.next_double() * cfg.rack_fail_stagger_s;
-                 ev.kind = FaultKind::kNodeCrash;
-                 ev.node = n;
-                 ev.duration_s = cfg.rack_fail_downtime_s;
-                 ev.incident = incident;
-                 plan.push_back(ev);
-               }
-             });
-  }
+  auto has_target = [&](Target target) {
+    switch (target) {
+      case Target::kCrashable:
+        return crashable > 0;
+      case Target::kAnyNode:
+        return node_count > 0;
+      case Target::kNodePair:
+        return node_count > 1;
+      case Target::kRack:
+        return racks.rack_count() > 1;
+      case Target::kRackPdu:
+        return !pdu_racks.empty();
+      default:
+        return true;  // cluster-wide services and pod picks always exist
+    }
+  };
 
-  // Rack cut: one event per incident; the injector expands it into the
-  // pairwise cut-set at apply time (a pure function of the RackMap).
-  if (racks.rack_count() > 1) {
-    std::uint32_t incident = kIncidentRackPartition;
-    arrivals(seed, kTagRackPartition, cfg.rack_partition_mean_s,
-             cfg.horizon_s, [&](double t, SplitMix64& rng) {
-               FaultEvent ev;
-               ev.at = t;
-               ev.kind = FaultKind::kRackPartition;
-               ev.node = static_cast<std::uint32_t>(
-                   rng.next_below(racks.rack_count()));
-               ev.duration_s = cfg.rack_partition_duration_s;
-               ev.incident = ++incident;
-               plan.push_back(ev);
-             });
-  }
-
-  // Deploy storm: a registry outage coinciding with a burst of pod
-  // kills — pulls for the replacements hit the dead registry, so the
-  // backoff path races the outage window.
-  {
-    std::uint32_t incident = kIncidentDeployStorm;
-    arrivals(seed, kTagDeployStorm, cfg.deploy_storm_mean_s, cfg.horizon_s,
-             [&](double t, SplitMix64& rng) {
-               ++incident;
-               FaultEvent outage;
-               outage.at = t;
-               outage.kind = FaultKind::kRegistryOutage;
-               outage.duration_s = cfg.deploy_storm_outage_s;
-               outage.incident = incident;
-               plan.push_back(outage);
-               for (std::uint32_t k = 0; k < cfg.deploy_storm_kills; ++k) {
-                 FaultEvent kill;
-                 kill.at = t + rng.next_double() * cfg.deploy_storm_spread_s;
-                 kill.kind = FaultKind::kPodKill;
-                 kill.pick = rng.next();
-                 kill.incident = incident;
-                 plan.push_back(kill);
-               }
-             });
-  }
-
-  // ---- Gray failures --------------------------------------------------
-  if (crashable > 0) {
-    arrivals(seed, kTagCpuSlow, cfg.cpu_slow_mean_s, cfg.horizon_s,
-             [&](double t, SplitMix64& rng) {
-               FaultEvent ev;
-               ev.at = t;
-               ev.kind = FaultKind::kCpuSlow;
-               ev.node = first + static_cast<std::uint32_t>(
-                                     rng.next_below(crashable));
-               ev.duration_s = cfg.cpu_slow_duration_s;
-               ev.factor = std::clamp(cfg.cpu_slow_factor, 1e-6, 1.0);
-               plan.push_back(ev);
-             });
-  }
-  if (node_count > 0 && cfg.flaky_nic_every > 0) {
-    arrivals(seed, kTagFlakyNic, cfg.flaky_nic_mean_s, cfg.horizon_s,
-             [&](double t, SplitMix64& rng) {
-               FaultEvent ev;
-               ev.at = t;
-               ev.kind = FaultKind::kFlakyNic;
-               ev.node = static_cast<std::uint32_t>(
-                   rng.next_below(node_count));
-               ev.duration_s = cfg.flaky_nic_duration_s;
-               plan.push_back(ev);
-             });
-  }
-  if (node_count > 1) {
-    arrivals(seed, kTagOnewayPartition, cfg.oneway_partition_mean_s,
-             cfg.horizon_s, [&](double t, SplitMix64& rng) {
-               FaultEvent ev;
-               ev.at = t;
-               ev.kind = FaultKind::kOnewayPartition;
-               // Directed: node → peer is cut, peer → node keeps flowing.
-               ev.node = static_cast<std::uint32_t>(
-                   rng.next_below(node_count));
-               const std::uint32_t other = static_cast<std::uint32_t>(
-                   rng.next_below(node_count - 1));
-               ev.peer = other >= ev.node ? other + 1 : other;
-               ev.duration_s = cfg.oneway_partition_duration_s;
-               plan.push_back(ev);
-             });
+  // Each channel is a Poisson process on [0, horizon) over its own forked
+  // stream, so channels never perturb each other's timelines. A channel
+  // whose target cannot exist on this topology draws nothing.
+  for (const Channel& ch : kChannels) {
+    const double mean = cfg.*ch.mean;
+    if (mean <= 0 || !has_target(ch.target)) continue;
+    if (ch.kind == FaultKind::kFlakyNic && cfg.flaky_nic_every == 0) continue;
+    SplitMix64 rng = SplitMix64::fork(seed, ch.stream);
+    auto below = [&rng](std::uint64_t n) {
+      return static_cast<std::uint32_t>(rng.next_below(n));
+    };
+    FaultEvent ev;
+    ev.kind = ch.kind;
+    ev.duration_s = ch.duration != nullptr ? cfg.*ch.duration : 0;
+    ev.factor =
+        ch.factor != nullptr ? std::clamp(cfg.*ch.factor, 1e-6, 1.0) : 1.0;
+    ev.incident = ch.incident_base;
+    for (double t = rng.exponential(mean); t < cfg.horizon_s;
+         t += rng.exponential(mean)) {
+      ev.at = t;
+      if (ch.incident_base != 0) ++ev.incident;
+      switch (ch.target) {
+        case Target::kNone:
+          break;
+        case Target::kCrashable:
+          ev.node = first + below(crashable);
+          break;
+        case Target::kAnyNode:
+          ev.node = below(node_count);
+          break;
+        case Target::kRack:
+          ev.node = below(racks.rack_count());
+          break;
+        case Target::kNodePair: {
+          // Directed for one-way cuts: node → peer. The peer is drawn from
+          // the remaining nodes, shifted past the victim so the pair is
+          // always distinct.
+          ev.node = below(node_count);
+          const std::uint32_t other = below(node_count - 1);
+          ev.peer = other >= ev.node ? other + 1 : other;
+          break;
+        }
+        case Target::kPodPick:
+          ev.pick = rng.next();
+          break;
+        case Target::kRackPdu:
+          // Correlated incidents expand here, at plan time, into member
+          // events sharing the incident id: a PDU trip crashes every
+          // crashable node of one rack within a stagger window (power
+          // supplies don't drop in perfect sync).
+          for (const std::uint32_t n :
+               racks.nodes_in(pdu_racks[below(pdu_racks.size())])) {
+            if (n < first) continue;  // head survives its rack's PDU
+            plan.push_back(ev);
+            plan.back().at = t + rng.next_double() * cfg.rack_fail_stagger_s;
+            plan.back().node = n;
+          }
+          continue;
+        case Target::kDeployStorm:
+          // A registry outage coinciding with a burst of pod kills: pulls
+          // for the replacements hit the dead registry, so the backoff
+          // path races the outage window.
+          plan.push_back(ev);
+          for (std::uint32_t k = 0; k < cfg.deploy_storm_kills; ++k) {
+            FaultEvent kill;
+            kill.at = t + rng.next_double() * cfg.deploy_storm_spread_s;
+            kill.kind = FaultKind::kPodKill;
+            kill.pick = rng.next();
+            kill.incident = ev.incident;
+            plan.push_back(kill);
+          }
+          continue;
+      }
+      plan.push_back(ev);
+    }
   }
 
   // Deterministic total order: time, then every discriminating field.
@@ -297,6 +183,40 @@ std::vector<FaultEvent> make_fault_plan(std::uint64_t seed,
   return make_fault_plan(seed, cfg,
                          cluster::RackMap::blocks(node_count, racks));
 }
+
+namespace {
+
+/// Overlap-counted effect: `set(true)` when the first window on a target
+/// opens and `set(false)` when the last one closes, so back-to-back
+/// faults never un-fault each other early and nested windows keep the
+/// FIRST window's setting.
+template <typename Set>
+void toggle(int& depth, bool open, const Set& set) {
+  if (open) {
+    if (++depth == 1) set(true);
+  } else if (--depth <= 0) {
+    depth = 0;
+    set(false);
+  }
+}
+
+/// Opens a window on `depth` now and closes it `duration_s` later.
+template <typename Set>
+void window(sim::Simulation& sim, int& depth, double duration_s, Set set) {
+  toggle(depth, true, set);
+  sim.call_in(duration_s, [&depth, set] { toggle(depth, false, set); });
+}
+
+/// Effect setter for the symmetric cut between cluster nodes `a` and `b`.
+auto symmetric_cut(cluster::Cluster& cluster, std::uint32_t a,
+                   std::uint32_t b) {
+  return [&net = cluster.network(), na = cluster.node(a).net_id(),
+          nb = cluster.node(b).net_id()](bool on) {
+    net.set_partition(na, nb, on);
+  };
+}
+
+}  // namespace
 
 FaultInjector::FaultInjector(core::PaperTestbed& testbed, FaultConfig cfg,
                              std::uint64_t seed)
@@ -340,64 +260,104 @@ void FaultInjector::arm() {
 void FaultInjector::apply(const FaultEvent& ev) {
   tb_.sim().trace().record(tb_.sim().now(), "fault", to_string(ev.kind),
                            {{"node", std::to_string(ev.node)}});
-  switch (ev.kind) {
-    case FaultKind::kNodeCrash:
-      apply_node_crash(ev);
-      break;
-    case FaultKind::kRegistryOutage:
-      tb_.registry().set_outage_until(tb_.sim().now() + ev.duration_s);
-      ++registry_outages_;
-      break;
-    case FaultKind::kPodKill:
-      apply_pod_kill(ev);
-      break;
-    case FaultKind::kLinkDegrade:
-      apply_degrade(ev);
-      break;
-    case FaultKind::kPartition:
-      apply_partition(ev);
-      break;
-    case FaultKind::kCpuSlow:
-      apply_cpu_slow(ev);
-      break;
-    case FaultKind::kFlakyNic:
-      apply_flaky_nic(ev);
-      break;
-    case FaultKind::kRackPartition:
-      apply_rack_partition(ev);
-      break;
-    case FaultKind::kOnewayPartition:
-      apply_oneway_partition(ev);
-      break;
-    case FaultKind::kCatalogOutage:
-      if (tb_.catalog_service() != nullptr) {
-        tb_.catalog_service()->set_outage_until(tb_.sim().now() +
-                                                ev.duration_s);
-        ++catalog_outages_;
-      } else {
-        ++skipped_;  // no metadata tier on this testbed
-      }
-      break;
+  if (fire(ev)) {
+    ++applied_[static_cast<std::size_t>(ev.kind)];
+  } else {
+    ++skipped_;
   }
 }
 
-void FaultInjector::apply_node_crash(const FaultEvent& ev) {
-  cluster::Node& node = tb_.cluster().node(ev.node);
-  if (!node.up()) {
-    ++skipped_;  // crashed while already down; its reboot is pending
-    return;
+bool FaultInjector::fire(const FaultEvent& ev) {
+  sim::Simulation& sim = tb_.sim();
+  net::FlowNetwork& net = tb_.cluster().network();
+  switch (ev.kind) {
+    case FaultKind::kNodeCrash:
+      return crash_node(ev);
+    case FaultKind::kRegistryOutage:
+      tb_.registry().set_outage_until(sim.now() + ev.duration_s);
+      return true;
+    case FaultKind::kPodKill:
+      return kill_pod(ev);
+    case FaultKind::kLinkDegrade:
+      window(sim, degrade_depth_[ev.node], ev.duration_s,
+             [&net, id = tb_.cluster().node(ev.node).net_id(),
+              factor = ev.factor](bool on) {
+               net.set_node_bandwidth_factor(id, on ? factor : 1.0);
+             });
+      return true;
+    case FaultKind::kPartition:
+      window(sim, partition_depth_[pair_index(ev.node, ev.peer)],
+             ev.duration_s, symmetric_cut(tb_.cluster(), ev.node, ev.peer));
+      return true;
+    case FaultKind::kCpuSlow:
+      window(sim, cpu_slow_depth_[ev.node], ev.duration_s,
+             [&node = tb_.cluster().node(ev.node), factor = ev.factor](
+                 bool on) { node.set_cpu_slowdown(on ? factor : 1.0); });
+      return true;
+    case FaultKind::kFlakyNic:
+      window(sim, flaky_depth_[ev.node], ev.duration_s,
+             [&net, id = tb_.cluster().node(ev.node).net_id(),
+              every = cfg_.flaky_nic_every,
+              stall = cfg_.flaky_nic_stall_s](bool on) {
+               net.set_node_flaky(id, on ? every : 0, on ? stall : 0);
+             });
+      return true;
+    case FaultKind::kRackPartition: {
+      // Cut-set: every {inside, outside} pair of the chosen rack, depth-
+      // counted per pair so an overlapping pairwise partition (or a second
+      // cut of an adjacent rack sharing pairs) never heals a link early.
+      // One heal timer closes the whole set.
+      auto cut = [this, rack = ev.node](bool open) {
+        for (const std::uint32_t in : racks_.nodes_in(rack)) {
+          for (std::uint32_t out = 0; out < node_count_; ++out) {
+            if (racks_.rack_of(out) == rack) continue;
+            toggle(partition_depth_[pair_index(in, out)], open,
+                   symmetric_cut(tb_.cluster(), in, out));
+          }
+        }
+      };
+      cut(true);
+      sim.call_in(ev.duration_s, [cut] { cut(false); });
+      return true;
+    }
+    case FaultKind::kOnewayPartition:
+      // Directed depth table (src*n+dst): overlapping windows on the same
+      // direction heal once; the reverse direction is an independent
+      // entry. Deliberately NOT depth-shared with the symmetric table — a
+      // symmetric cut healing must not resurrect a still-open one-way cut
+      // or vice versa, and FlowNetwork already ORs the two tables per
+      // direction.
+      window(sim,
+             oneway_depth_[static_cast<std::size_t>(ev.node) * node_count_ +
+                           ev.peer],
+             ev.duration_s,
+             [&net, src = tb_.cluster().node(ev.node).net_id(),
+              dst = tb_.cluster().node(ev.peer).net_id()](bool on) {
+               net.set_partition_oneway(src, dst, on);
+             });
+      return true;
+    case FaultKind::kCatalogOutage:
+      if (tb_.catalog_service() == nullptr) return false;  // no metadata tier
+      tb_.catalog_service()->set_outage_until(sim.now() + ev.duration_s);
+      return true;
   }
+  return false;
+}
+
+bool FaultInjector::crash_node(const FaultEvent& ev) {
+  cluster::Node& node = tb_.cluster().node(ev.node);
+  if (!node.up()) return false;  // already down; its reboot is pending
   node.fail();
-  ++node_crashes_;
   tb_.sim().call_in(ev.duration_s, [this, &node] {
     if (!node.up()) {
       node.recover();
       ++node_reboots_;
     }
   });
+  return true;
 }
 
-void FaultInjector::apply_pod_kill(const FaultEvent& ev) {
+bool FaultInjector::kill_pod(const FaultEvent& ev) {
   // Candidates in NamedStore name order (deterministic); only pods a
   // kubelet actually manages can be killed.
   std::vector<std::string> candidates;
@@ -408,33 +368,8 @@ void FaultInjector::apply_pod_kill(const FaultEvent& ev) {
       candidates.push_back(pod.name);
     }
   });
-  if (candidates.empty()) {
-    ++skipped_;
-    return;
-  }
-  const std::string& victim = candidates[ev.pick % candidates.size()];
-  if (tb_.kube().kill_pod(victim)) {
-    ++pod_kills_;
-  } else {
-    ++skipped_;
-  }
-}
-
-void FaultInjector::apply_degrade(const FaultEvent& ev) {
-  cluster::Node& node = tb_.cluster().node(ev.node);
-  if (++degrade_depth_[ev.node] == 1) {
-    tb_.cluster().network().set_node_bandwidth_factor(node.net_id(),
-                                                      ev.factor);
-  }
-  // Nested windows keep the FIRST factor; capacity returns when the last
-  // window expires.
-  ++degrades_;
-  tb_.sim().call_in(ev.duration_s, [this, &node, idx = ev.node] {
-    if (--degrade_depth_[idx] <= 0) {
-      degrade_depth_[idx] = 0;
-      tb_.cluster().network().set_node_bandwidth_factor(node.net_id(), 1.0);
-    }
-  });
+  if (candidates.empty()) return false;
+  return tb_.kube().kill_pod(candidates[ev.pick % candidates.size()]);
 }
 
 std::size_t FaultInjector::pair_index(std::uint32_t a,
@@ -444,106 +379,17 @@ std::size_t FaultInjector::pair_index(std::uint32_t a,
   return static_cast<std::size_t>(lo) * node_count_ + hi;
 }
 
-void FaultInjector::cut_pair(std::uint32_t a, std::uint32_t b,
-                             bool blocked) {
-  const std::size_t idx = pair_index(a, b);
-  const net::NodeId na = tb_.cluster().node(a).net_id();
-  const net::NodeId nb = tb_.cluster().node(b).net_id();
-  if (blocked) {
-    if (++partition_depth_[idx] == 1) {
-      tb_.cluster().network().set_partition(na, nb, true);
-    }
-  } else {
-    if (--partition_depth_[idx] <= 0) {
-      partition_depth_[idx] = 0;
-      tb_.cluster().network().set_partition(na, nb, false);
-    }
-  }
+std::uint64_t FaultInjector::applied_total() const {
+  return std::accumulate(applied_.begin(), applied_.end(), std::uint64_t{0});
 }
 
-void FaultInjector::apply_partition(const FaultEvent& ev) {
-  cut_pair(ev.node, ev.peer, true);
-  ++partitions_;
-  tb_.sim().call_in(ev.duration_s, [this, a = ev.node, b = ev.peer] {
-    cut_pair(a, b, false);
-  });
-}
-
-void FaultInjector::apply_rack_partition(const FaultEvent& ev) {
-  // Cut-set: every {inside, outside} pair of the chosen rack, depth-
-  // counted per pair so an overlapping pairwise partition (or a second
-  // cut of an adjacent rack sharing pairs) never heals a link early.
-  const std::uint32_t rack = ev.node;
-  const auto& inside = racks_.nodes_in(rack);
-  for (const std::uint32_t in : inside) {
-    for (std::uint32_t out = 0; out < node_count_; ++out) {
-      if (racks_.rack_of(out) == rack) continue;
-      cut_pair(in, out, true);
-    }
+std::uint64_t FaultInjector::residual_depth() const {
+  std::uint64_t total = 0;
+  for (const auto* depths : {&degrade_depth_, &cpu_slow_depth_, &flaky_depth_,
+                             &partition_depth_, &oneway_depth_}) {
+    for (const int d : *depths) total += static_cast<std::uint64_t>(d);
   }
-  ++rack_partitions_;
-  tb_.sim().call_in(ev.duration_s, [this, rack] {
-    const auto& members = racks_.nodes_in(rack);
-    for (const std::uint32_t in : members) {
-      for (std::uint32_t out = 0; out < node_count_; ++out) {
-        if (racks_.rack_of(out) == rack) continue;
-        cut_pair(in, out, false);
-      }
-    }
-  });
-}
-
-void FaultInjector::apply_oneway_partition(const FaultEvent& ev) {
-  // Directed depth table (src*n+dst): overlapping windows on the same
-  // direction heal once; the reverse direction is an independent entry.
-  // Deliberately NOT depth-shared with the symmetric table — a symmetric
-  // cut healing must not resurrect a still-open one-way cut or vice
-  // versa, and FlowNetwork already ORs the two tables per direction.
-  const std::size_t idx =
-      static_cast<std::size_t>(ev.node) * node_count_ + ev.peer;
-  const net::NodeId src = tb_.cluster().node(ev.node).net_id();
-  const net::NodeId dst = tb_.cluster().node(ev.peer).net_id();
-  if (++oneway_depth_[idx] == 1) {
-    tb_.cluster().network().set_partition_oneway(src, dst, true);
-  }
-  ++oneway_partitions_;
-  tb_.sim().call_in(ev.duration_s, [this, idx, src, dst] {
-    if (--oneway_depth_[idx] <= 0) {
-      oneway_depth_[idx] = 0;
-      tb_.cluster().network().set_partition_oneway(src, dst, false);
-    }
-  });
-}
-
-void FaultInjector::apply_cpu_slow(const FaultEvent& ev) {
-  cluster::Node& node = tb_.cluster().node(ev.node);
-  if (++cpu_slow_depth_[ev.node] == 1) {
-    node.set_cpu_slowdown(ev.factor);
-  }
-  // Nested windows keep the FIRST factor; full speed returns when the
-  // last window expires.
-  ++cpu_slows_;
-  tb_.sim().call_in(ev.duration_s, [this, &node, idx = ev.node] {
-    if (--cpu_slow_depth_[idx] <= 0) {
-      cpu_slow_depth_[idx] = 0;
-      node.set_cpu_slowdown(1.0);
-    }
-  });
-}
-
-void FaultInjector::apply_flaky_nic(const FaultEvent& ev) {
-  cluster::Node& node = tb_.cluster().node(ev.node);
-  if (++flaky_depth_[ev.node] == 1) {
-    tb_.cluster().network().set_node_flaky(
-        node.net_id(), cfg_.flaky_nic_every, cfg_.flaky_nic_stall_s);
-  }
-  ++flaky_nics_;
-  tb_.sim().call_in(ev.duration_s, [this, &node, idx = ev.node] {
-    if (--flaky_depth_[idx] <= 0) {
-      flaky_depth_[idx] = 0;
-      tb_.cluster().network().set_node_flaky(node.net_id(), 0, 0);
-    }
-  });
+  return total;
 }
 
 }  // namespace sf::fault

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -24,6 +25,10 @@ enum class FaultKind : std::uint8_t {
   kOnewayPartition, ///< gray: directed link src → dst cut, reverse flows
   kCatalogOutage,   ///< metadata tier refuses requests for duration
 };
+
+/// Number of FaultKind values: sizes the injector's per-kind counters.
+inline constexpr std::size_t kFaultKinds =
+    static_cast<std::size_t>(FaultKind::kCatalogOutage) + 1;
 
 const char* to_string(FaultKind kind);
 
@@ -145,6 +150,88 @@ struct FaultConfig {
   double heartbeat_interval_s = 1.0;
 };
 
+/// What one arrival of a channel hits.
+enum class Target : std::uint8_t {
+  kNone,         ///< a cluster-wide service (registry, catalog): no draw
+  kCrashable,    ///< one node outside the spared head
+  kAnyNode,      ///< any node
+  kNodePair,     ///< `node`, then a distinct `peer`
+  kRack,         ///< one rack (`node` = rack id); needs two or more racks
+  kPodPick,      ///< a running pod, chosen at fire time by a drawn `pick`
+  kRackPdu,      ///< every crashable node of one rack, staggered
+  kDeployStorm,  ///< a registry outage plus a burst of pod kills
+};
+
+/// One fault channel: where its knobs live in FaultConfig, its plan
+/// stream and what one arrival expands into. Adding a channel is a
+/// mean/duration pair in FaultConfig plus one row of kChannels; a new
+/// FaultKind also needs to_string() and one case in the injector's apply.
+struct Channel {
+  const char* name;   ///< FaultConfig field holding the mean
+  const char* label;  ///< short tag for tables
+  /// Plan stream tag. Part of the determinism contract: renumbering a
+  /// row would change every plan that enables it.
+  std::uint64_t stream;
+  double FaultConfig::*mean;      ///< mean inter-arrival time; 0 = off
+  double FaultConfig::*duration;  ///< event window; nullptr = instant
+  double FaultConfig::*factor;    ///< capacity multiplier; nullptr = 1
+  FaultKind kind;
+  Target target;
+  /// Correlated channels number their incidents from this base, one
+  /// block per channel, so ids stay stable when other channels change;
+  /// 0 = independent arrivals.
+  std::uint32_t incident_base;
+};
+
+/// The twelve channels in stream-tag order: the one list the planner,
+/// the settle pad, the fuzzer and its shrinker all walk.
+inline constexpr std::array<Channel, 12> kChannels{{
+    {"node_crash_mean_s", "crash", 0xA1, &FaultConfig::node_crash_mean_s,
+     &FaultConfig::node_downtime_s, nullptr, FaultKind::kNodeCrash,
+     Target::kCrashable, 0},
+    {"pull_outage_mean_s", "pull", 0xA2, &FaultConfig::pull_outage_mean_s,
+     &FaultConfig::pull_outage_duration_s, nullptr,
+     FaultKind::kRegistryOutage, Target::kNone, 0},
+    {"pod_kill_mean_s", "kill", 0xA3, &FaultConfig::pod_kill_mean_s,
+     nullptr, nullptr, FaultKind::kPodKill, Target::kPodPick, 0},
+    {"degrade_mean_s", "degr", 0xA4, &FaultConfig::degrade_mean_s,
+     &FaultConfig::degrade_duration_s, &FaultConfig::degrade_factor,
+     FaultKind::kLinkDegrade, Target::kAnyNode, 0},
+    {"partition_mean_s", "part", 0xA5, &FaultConfig::partition_mean_s,
+     &FaultConfig::partition_duration_s, nullptr, FaultKind::kPartition,
+     Target::kNodePair, 0},
+    {"rack_fail_mean_s", "rackf", 0xA6, &FaultConfig::rack_fail_mean_s,
+     &FaultConfig::rack_fail_downtime_s, nullptr, FaultKind::kNodeCrash,
+     Target::kRackPdu, 0x10000},
+    {"rack_partition_mean_s", "rackp", 0xA7,
+     &FaultConfig::rack_partition_mean_s,
+     &FaultConfig::rack_partition_duration_s, nullptr,
+     FaultKind::kRackPartition, Target::kRack, 0x30000},
+    {"deploy_storm_mean_s", "storm", 0xA8, &FaultConfig::deploy_storm_mean_s,
+     &FaultConfig::deploy_storm_outage_s, nullptr,
+     FaultKind::kRegistryOutage, Target::kDeployStorm, 0x20000},
+    {"cpu_slow_mean_s", "cpu", 0xA9, &FaultConfig::cpu_slow_mean_s,
+     &FaultConfig::cpu_slow_duration_s, &FaultConfig::cpu_slow_factor,
+     FaultKind::kCpuSlow, Target::kCrashable, 0},
+    {"flaky_nic_mean_s", "flaky", 0xAA, &FaultConfig::flaky_nic_mean_s,
+     &FaultConfig::flaky_nic_duration_s, nullptr, FaultKind::kFlakyNic,
+     Target::kAnyNode, 0},
+    {"oneway_partition_mean_s", "oneway", 0xAB,
+     &FaultConfig::oneway_partition_mean_s,
+     &FaultConfig::oneway_partition_duration_s, nullptr,
+     FaultKind::kOnewayPartition, Target::kNodePair, 0},
+    {"catalog_outage_mean_s", "cat", 0xAC,
+     &FaultConfig::catalog_outage_mean_s,
+     &FaultConfig::catalog_outage_duration_s, nullptr,
+     FaultKind::kCatalogOutage, Target::kNone, 0},
+}};
+
+/// Longest time any enabled channel's window needs to heal after the plan
+/// horizon, on a cluster of `node_count` nodes: the settle pad before
+/// quiesce invariants may be asserted.
+[[nodiscard]] double heal_window_s(const FaultConfig& cfg,
+                                   std::uint32_t node_count);
+
 /// Generates the deterministic fault timeline for a cluster laid out by
 /// `racks` (node 0 = head). Events are sorted by time with a
 /// deterministic tie-break; same (seed, cfg, RackMap) ⇒ identical
@@ -165,7 +252,7 @@ std::vector<FaultEvent> make_fault_plan(std::uint64_t seed,
 /// rack cuts stacked on pairwise blocks).
 ///
 /// Usage: construct, arm() once before driving the simulation, read the
-/// applied_* counters after. The injector must outlive the simulation
+/// applied() counters after. The injector must outlive the simulation
 /// run it is armed on.
 class FaultInjector {
  public:
@@ -183,66 +270,28 @@ class FaultInjector {
   [[nodiscard]] const std::vector<FaultEvent>& plan() const { return plan_; }
   [[nodiscard]] const cluster::RackMap& rack_map() const { return racks_; }
 
-  // Applied-fault counters (a planned event is *skipped*, not applied,
-  // when its target cannot take it — e.g. crashing an already-down node
-  // or killing a pod when none are running).
-  [[nodiscard]] std::uint64_t node_crashes() const { return node_crashes_; }
-  [[nodiscard]] std::uint64_t node_reboots() const { return node_reboots_; }
-  [[nodiscard]] std::uint64_t registry_outages() const {
-    return registry_outages_;
+  /// Planned events of `kind` that took effect. A planned event is
+  /// *skipped*, not applied, when its target cannot take it — e.g.
+  /// crashing an already-down node or killing a pod when none are running.
+  [[nodiscard]] std::uint64_t applied(FaultKind kind) const {
+    return applied_[static_cast<std::size_t>(kind)];
   }
-  [[nodiscard]] std::uint64_t pod_kills() const { return pod_kills_; }
-  [[nodiscard]] std::uint64_t degrades() const { return degrades_; }
-  [[nodiscard]] std::uint64_t partitions() const { return partitions_; }
-  [[nodiscard]] std::uint64_t rack_partitions() const {
-    return rack_partitions_;
-  }
-  [[nodiscard]] std::uint64_t cpu_slows() const { return cpu_slows_; }
-  [[nodiscard]] std::uint64_t flaky_nics() const { return flaky_nics_; }
-  [[nodiscard]] std::uint64_t oneway_partitions() const {
-    return oneway_partitions_;
-  }
-  [[nodiscard]] std::uint64_t catalog_outages() const {
-    return catalog_outages_;
-  }
+  [[nodiscard]] std::uint64_t applied_total() const;
   [[nodiscard]] std::uint64_t skipped() const { return skipped_; }
+  [[nodiscard]] std::uint64_t node_reboots() const { return node_reboots_; }
 
   /// Sum of all outstanding fault-window depth counters (degradations,
   /// CPU slowdowns, flaky NICs, partitions). Zero once every window has
   /// healed — the sf::check quiesce invariant: a heal path that forgets
   /// to undo its effect leaves a residue here.
-  [[nodiscard]] std::uint64_t residual_depth() const {
-    std::uint64_t total = 0;
-    for (const int d : degrade_depth_) total += static_cast<std::uint64_t>(d);
-    for (const int d : cpu_slow_depth_) total += static_cast<std::uint64_t>(d);
-    for (const int d : flaky_depth_) total += static_cast<std::uint64_t>(d);
-    for (const int d : partition_depth_) {
-      total += static_cast<std::uint64_t>(d);
-    }
-    for (const int d : oneway_depth_) total += static_cast<std::uint64_t>(d);
-    return total;
-  }
-  [[nodiscard]] std::uint64_t applied_total() const {
-    return node_crashes_ + registry_outages_ + pod_kills_ + degrades_ +
-           partitions_ + rack_partitions_ + cpu_slows_ + flaky_nics_ +
-           oneway_partitions_ + catalog_outages_;
-  }
+  [[nodiscard]] std::uint64_t residual_depth() const;
 
  private:
   void apply(const FaultEvent& ev);
-  void apply_node_crash(const FaultEvent& ev);
-  void apply_pod_kill(const FaultEvent& ev);
-  void apply_degrade(const FaultEvent& ev);
-  void apply_partition(const FaultEvent& ev);
-  void apply_cpu_slow(const FaultEvent& ev);
-  void apply_flaky_nic(const FaultEvent& ev);
-  void apply_rack_partition(const FaultEvent& ev);
-  void apply_oneway_partition(const FaultEvent& ev);
-
-  /// Depth-counted pairwise cut between cluster nodes `a` and `b` —
-  /// shared by kPartition and the kRackPartition cut-set so overlapping
-  /// faults never heal each other early.
-  void cut_pair(std::uint32_t a, std::uint32_t b, bool blocked);
+  /// Applies one planned event; false when its target cannot take it.
+  bool fire(const FaultEvent& ev);
+  bool crash_node(const FaultEvent& ev);
+  bool kill_pod(const FaultEvent& ev);
   [[nodiscard]] std::size_t pair_index(std::uint32_t a,
                                        std::uint32_t b) const;
 
@@ -264,17 +313,8 @@ class FaultInjector {
   std::vector<int> partition_depth_;  ///< n*n, indexed min*n+max
   std::vector<int> oneway_depth_;     ///< n*n DIRECTED, indexed src*n+dst
 
-  std::uint64_t node_crashes_ = 0;
+  std::array<std::uint64_t, kFaultKinds> applied_{};
   std::uint64_t node_reboots_ = 0;
-  std::uint64_t registry_outages_ = 0;
-  std::uint64_t pod_kills_ = 0;
-  std::uint64_t degrades_ = 0;
-  std::uint64_t partitions_ = 0;
-  std::uint64_t rack_partitions_ = 0;
-  std::uint64_t cpu_slows_ = 0;
-  std::uint64_t flaky_nics_ = 0;
-  std::uint64_t oneway_partitions_ = 0;
-  std::uint64_t catalog_outages_ = 0;
   std::uint64_t skipped_ = 0;
 };
 

@@ -201,7 +201,6 @@ class ApiServer {
   /// diagnostics). Pointers stay valid until the pod is deleted.
   [[nodiscard]] std::vector<const Pod*> list_pods() const;
   [[nodiscard]] std::vector<const Pod*> list_pods(const Labels& selector) const;
-  [[nodiscard]] std::size_t pod_count() const { return pods_.size(); }
 
   /// Marks the pod Terminating and notifies watchers; the owning kubelet
   /// (or, for never-scheduled pods, the API server itself) finalizes.

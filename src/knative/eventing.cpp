@@ -3,7 +3,15 @@
 #include <memory>
 #include <utility>
 
+#include "fault/retry.hpp"
+
 namespace sf::knative {
+
+namespace {
+/// Per-trigger delivery: three tries, 0.2 s then 0.4 s apart.
+constexpr fault::RetryPolicy kDeliveryRetry{/*max_attempts=*/3,
+                                            /*base_s=*/0.2, /*cap_s=*/0.4};
+}  // namespace
 
 const CloudEvent& event_from_request(const net::HttpRequest& req) {
   return std::any_cast<const CloudEvent&>(req.body);
@@ -89,7 +97,7 @@ void Broker::fanout(const CloudEvent& event,
   auto done_cb =
       std::make_shared<std::function<void(bool)>>(std::move(on_done));
   for (const Trigger* trigger : matching) {
-    deliver(*trigger, event, 1,
+    deliver(*trigger, event, 0,
             [remaining, all_ok, done_cb](bool ok) {
               *all_ok = *all_ok && ok;
               if (--*remaining == 0 && *done_cb) (*done_cb)(*all_ok);
@@ -113,9 +121,9 @@ void Broker::deliver(Trigger trigger, const CloudEvent& event,
           on_done(true);
           return;
         }
-        if (attempt < retry_limit_) {
+        if (!kDeliveryRetry.exhausted(attempt)) {
           serving_.kube().cluster().sim().call_in(
-              retry_backoff_ * attempt,
+              kDeliveryRetry.backoff_s(attempt),
               [this, trigger, event = std::move(event), attempt,
                on_done = std::move(on_done)]() mutable {
                 deliver(trigger, event, attempt + 1, std::move(on_done));

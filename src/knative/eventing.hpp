@@ -69,9 +69,6 @@ class Broker {
     return failed_deliveries_;
   }
 
-  void set_retry_limit(int retries) { retry_limit_ = retries; }
-  void set_retry_backoff(double seconds) { retry_backoff_ = seconds; }
-
  private:
   struct Trigger {
     std::string event_type;  // "" = match all
@@ -91,8 +88,6 @@ class Broker {
   std::string name_;
   std::map<std::string, Trigger> triggers_;
   std::deque<CloudEvent> dead_letters_;
-  int retry_limit_ = 3;
-  double retry_backoff_ = 0.2;
   std::uint64_t events_received_ = 0;
   std::uint64_t deliveries_ = 0;
   std::uint64_t failed_deliveries_ = 0;

@@ -479,26 +479,4 @@ Plan Planner::plan() {
   return plan;
 }
 
-RunStatistics collect_statistics(const condor::DagMan& dag,
-                                 const std::vector<std::string>& node_names) {
-  RunStatistics stats;
-  stats.makespan = dag.makespan();
-  double wait = 0;
-  double exec = 0;
-  std::size_t counted = 0;
-  for (const auto& name : node_names) {
-    const condor::JobRecord* rec = dag.node_record(name);
-    if (rec == nullptr || rec->start_time < 0) continue;
-    wait += rec->start_time - rec->submit_time;
-    exec += rec->end_time - rec->start_time;
-    ++counted;
-  }
-  if (counted > 0) {
-    stats.mean_queue_wait = wait / static_cast<double>(counted);
-    stats.mean_exec_time = exec / static_cast<double>(counted);
-  }
-  stats.jobs = counted;
-  return stats;
-}
-
 }  // namespace sf::pegasus

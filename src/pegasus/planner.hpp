@@ -136,15 +136,4 @@ class Planner {
   PlannerOptions options_;
 };
 
-/// Convenience: summary of a finished DAG run (pegasus-statistics).
-struct RunStatistics {
-  double makespan = 0;
-  double mean_queue_wait = 0;   ///< submit → executable start
-  double mean_exec_time = 0;    ///< executable start → end
-  std::size_t jobs = 0;
-};
-
-RunStatistics collect_statistics(const condor::DagMan& dag,
-                                 const std::vector<std::string>& node_names);
-
 }  // namespace sf::pegasus

@@ -49,7 +49,6 @@ class InlineFunction {
                       std::is_trivially_destructible_v<D>)) {
         manage_ = &inline_manage<D>;
       }
-      inline_ = true;
     } else {
       ::new (static_cast<void*>(buf_)) D*(new D(std::forward<F>(f)));
       invoke_ = &heap_invoke<D>;
@@ -83,11 +82,6 @@ class InlineFunction {
   }
 
   explicit operator bool() const noexcept { return invoke_ != nullptr; }
-
-  /// True when the target lives in the inline buffer (no heap allocation).
-  [[nodiscard]] bool is_inline() const noexcept {
-    return invoke_ != nullptr && inline_;
-  }
 
  private:
   enum class Op { kMoveTo, kDestroy };
@@ -134,7 +128,6 @@ class InlineFunction {
     }
     invoke_ = other.invoke_;
     manage_ = other.manage_;
-    inline_ = other.inline_;
     other.invoke_ = nullptr;
     other.manage_ = nullptr;
   }
@@ -150,7 +143,6 @@ class InlineFunction {
   alignas(kInlineAlign) unsigned char buf_[kInlineSize];
   void (*invoke_)(void*) = nullptr;
   void (*manage_)(Op, void*, void*) noexcept = nullptr;
-  bool inline_ = false;  // rides in the tail padding: sizeof stays 64
 };
 
 static_assert(sizeof(InlineFunction) == 64,

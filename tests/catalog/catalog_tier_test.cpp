@@ -113,7 +113,7 @@ TEST(CatalogTierTest, OutageChannelAppliesWithTierOn) {
   fault::FaultInjector injector(tb, cfg, /*seed=*/7);
   injector.arm();
   tb.sim().run_until(300.0);
-  EXPECT_GT(injector.catalog_outages(), 0u);
+  EXPECT_GT(injector.applied(fault::FaultKind::kCatalogOutage), 0u);
   EXPECT_EQ(injector.skipped(), 0u);
   // Heals: by plan end the service is reachable again.
   EXPECT_TRUE(tb.catalog_service()->available(tb.sim().now() + 5.0));
@@ -128,7 +128,7 @@ TEST(CatalogTierTest, OutageChannelSkippedWithoutTier) {
   fault::FaultInjector injector(tb, cfg, /*seed=*/7);
   injector.arm();
   tb.sim().run_until(300.0);
-  EXPECT_EQ(injector.catalog_outages(), 0u);
+  EXPECT_EQ(injector.applied(fault::FaultKind::kCatalogOutage), 0u);
   EXPECT_GT(injector.skipped(), 0u);
 }
 

@@ -28,12 +28,11 @@ namespace {
 // partition under ambient serving load plus a half-serverless DAG mix.
 // Documents the banked-case shape; it has always passed.
 TEST(FuzzRegression, CrashKillRackPartitionUnderOpenLoopLoad) {
-  FuzzCase c;
+  sf::check::FuzzCase c;
   c.id = 0ull;
-  c.seed = 0xB4A2C0DEull;
-  c.fault_seed = 0xC4405EEDull;
+  c.seed = 0xb4a2c0deull;
+  c.fault_seed = 0xc4405eedull;
   c.nodes = 4;
-  c.racks = 2;
   c.workflows = 2;
   c.tasks = 3;
   c.dag_retries = 4;
@@ -41,20 +40,25 @@ TEST(FuzzRegression, CrashKillRackPartitionUnderOpenLoopLoad) {
   c.prestage = true;
   c.min_scale = 1;
   c.request_timeout_s = 30;
+  c.outlier_detection = false;
+  c.catalog_service = false;
   c.openloop_users = 2;
-  c.openloop_rate_hz = 1.0;
-  c.horizon_s = 240;
-  c.node_crash_mean_s = 90;
-  c.pull_outage_mean_s = 0;
-  c.pod_kill_mean_s = 90;
-  c.degrade_mean_s = 0;
-  c.partition_mean_s = 0;
-  c.rack_fail_mean_s = 0;
-  c.rack_partition_mean_s = 150;
-  c.deploy_storm_mean_s = 0;
-  c.cpu_slow_mean_s = 0;
-  c.flaky_nic_mean_s = 0;
-  const auto out = run_case_checked(c);
+  c.openloop_rate_hz = 1;
+  c.faults.horizon_s = 240;
+  c.faults.racks = 2;
+  c.faults.node_crash_mean_s = 90;
+  c.faults.pull_outage_mean_s = 0;
+  c.faults.pod_kill_mean_s = 90;
+  c.faults.degrade_mean_s = 0;
+  c.faults.partition_mean_s = 0;
+  c.faults.rack_fail_mean_s = 0;
+  c.faults.rack_partition_mean_s = 150;
+  c.faults.deploy_storm_mean_s = 0;
+  c.faults.cpu_slow_mean_s = 0;
+  c.faults.flaky_nic_mean_s = 0;
+  c.faults.oneway_partition_mean_s = 0;
+  c.faults.catalog_outage_mean_s = 0;
+  const auto out = sf::check::run_case_checked(c);
   EXPECT_TRUE(out.ok) << out.detail;
 }
 

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace sf::check {
 namespace {
 
@@ -18,15 +20,15 @@ TEST(FuzzCaseDerivation, SameSeedSameCase) {
   EXPECT_EQ(a.seed, b.seed);
   EXPECT_EQ(a.fault_seed, b.fault_seed);
   EXPECT_EQ(a.nodes, b.nodes);
-  EXPECT_EQ(a.racks, b.racks);
+  EXPECT_EQ(a.faults.racks, b.faults.racks);
   EXPECT_EQ(a.workflows, b.workflows);
   EXPECT_EQ(a.tasks, b.tasks);
   EXPECT_EQ(a.serverless_fraction, b.serverless_fraction);
   EXPECT_EQ(a.prestage, b.prestage);
   EXPECT_EQ(a.min_scale, b.min_scale);
-  EXPECT_EQ(a.horizon_s, b.horizon_s);
-  for (const auto& ch : fuzz_channels()) {
-    EXPECT_EQ(a.*(ch.member), b.*(ch.member)) << ch.name;
+  EXPECT_EQ(a.faults.horizon_s, b.faults.horizon_s);
+  for (const fault::Channel& ch : fault::kChannels) {
+    EXPECT_EQ(a.faults.*ch.mean, b.faults.*ch.mean) << ch.name;
   }
 }
 
@@ -41,19 +43,20 @@ TEST(FuzzCaseDerivation, FieldsStayInRange) {
     const FuzzCase c = random_case(kSmokeBase, i);
     EXPECT_GE(c.nodes, 3);
     EXPECT_LE(c.nodes, 5);
-    EXPECT_GE(c.racks, 1);
-    EXPECT_LE(c.racks, 2);
+    EXPECT_GE(c.faults.racks, 1u);
+    EXPECT_LE(c.faults.racks, 2u);
     EXPECT_GE(c.workflows, 1);
     EXPECT_LE(c.workflows, 3);
     EXPECT_GE(c.tasks, 2);
     EXPECT_LE(c.tasks, 5);
     EXPECT_GE(c.serverless_fraction, 0.0);
     EXPECT_LE(c.serverless_fraction, 1.0);
-    EXPECT_GE(c.horizon_s, 240.0);
-    EXPECT_LE(c.horizon_s, 420.0);
-    for (const auto& ch : fuzz_channels()) {
-      const double mean = c.*(ch.member);
-      EXPECT_TRUE(mean == 0.0 || mean >= 0.3 * c.horizon_s) << ch.name;
+    EXPECT_GE(c.faults.horizon_s, 240.0);
+    EXPECT_LE(c.faults.horizon_s, 420.0);
+    for (const fault::Channel& ch : fault::kChannels) {
+      const double mean = c.faults.*ch.mean;
+      EXPECT_TRUE(mean == 0.0 || mean >= 0.3 * c.faults.horizon_s)
+          << ch.name;
     }
   }
 }
@@ -122,7 +125,7 @@ TEST(FuzzRun, EveryInvariantExercisedNonVacuously) {
   FuzzCase c;
   c.seed = 11;
   c.nodes = 4;
-  c.racks = 2;
+  c.faults.racks = 2;
   c.workflows = 2;
   c.tasks = 3;
   c.serverless_fraction = 0.5;
@@ -131,9 +134,9 @@ TEST(FuzzRun, EveryInvariantExercisedNonVacuously) {
   c.openloop_rate_hz = 1.0;
   c.outlier_detection = true;  // arms the ejection-filter invariants
   c.catalog_service = true;    // arms the metadata-tier invariants
-  c.horizon_s = 240;
-  c.node_crash_mean_s = 60;  // dense enough that faults certainly fire
-  c.pod_kill_mean_s = 60;
+  c.faults.horizon_s = 240;
+  c.faults.node_crash_mean_s = 60;  // dense enough that faults certainly fire
+  c.faults.pod_kill_mean_s = 60;
   const FuzzOutcome out = run_case(c);
   EXPECT_TRUE(out.ok) << out.detail;
   ASSERT_FALSE(out.invariants.empty());
@@ -158,12 +161,13 @@ TEST(FuzzRepro, PrintsEveryField) {
   EXPECT_NE(repro.find("c.seed = 0x"), std::string::npos);
   EXPECT_NE(repro.find("c.fault_seed = 0x"), std::string::npos);
   EXPECT_NE(repro.find("c.nodes = "), std::string::npos);
-  EXPECT_NE(repro.find("c.horizon_s = "), std::string::npos);
+  EXPECT_NE(repro.find("c.faults.horizon_s = "), std::string::npos);
+  EXPECT_NE(repro.find("c.faults.racks = "), std::string::npos);
   EXPECT_NE(repro.find("c.openloop_users = "), std::string::npos);
   EXPECT_NE(repro.find("c.openloop_rate_hz = "), std::string::npos);
   EXPECT_NE(repro.find("c.outlier_detection = "), std::string::npos);
-  for (const auto& ch : fuzz_channels()) {
-    EXPECT_NE(repro.find(std::string("c.") + ch.name + " = "),
+  for (const fault::Channel& ch : fault::kChannels) {
+    EXPECT_NE(repro.find(std::string("c.faults.") + ch.name + " = "),
               std::string::npos)
         << ch.name;
   }
@@ -171,7 +175,20 @@ TEST(FuzzRepro, PrintsEveryField) {
 }
 
 TEST(FuzzChannels, CoverAllTwelveFaultChannels) {
-  EXPECT_EQ(fuzz_channels().size(), 12u);
+  static_assert(fault::kChannels.size() == 12);
+  std::vector<FuzzCase> cases;
+  for (std::uint64_t i = 0; i < 64; ++i) {
+    cases.push_back(random_case(kSmokeBase, i));
+  }
+  // Every channel is drawn on in some smoke cases and off in others.
+  for (const fault::Channel& ch : fault::kChannels) {
+    int on = 0;
+    for (const FuzzCase& c : cases) {
+      if (c.faults.*ch.mean > 0) ++on;
+    }
+    EXPECT_GT(on, 0) << ch.name;
+    EXPECT_LT(on, 64) << ch.name;
+  }
 }
 
 TEST(FuzzCaseDerivation, OutlierAxisFlipsOnSometimes) {

@@ -21,8 +21,8 @@ FuzzCase leaky_case() {
   c.workflows = 3;
   c.tasks = 5;
   c.serverless_fraction = 0;  // all tasks run on condor claims
-  c.node_crash_mean_s = 25;
-  c.horizon_s = 300;
+  c.faults.node_crash_mean_s = 25;
+  c.faults.horizon_s = 300;
   c.plant_claim_leak = true;
   return c;
 }
@@ -50,11 +50,11 @@ TEST(MutationCheck, ShrinkerReducesTheLeakCase) {
   // and still end on a failing case.
   FuzzCase c = leaky_case();
   c.nodes = 5;
-  c.racks = 2;
-  c.pod_kill_mean_s = 120;
-  c.degrade_mean_s = 150;
-  c.flaky_nic_mean_s = 200;
-  c.horizon_s = 420;
+  c.faults.racks = 2;
+  c.faults.pod_kill_mean_s = 120;
+  c.faults.degrade_mean_s = 150;
+  c.faults.flaky_nic_mean_s = 200;
+  c.faults.horizon_s = 420;
 
   const ShrinkResult res = shrink(c, 120);
   EXPECT_FALSE(res.outcome.ok);
@@ -62,12 +62,12 @@ TEST(MutationCheck, ShrinkerReducesTheLeakCase) {
   EXPECT_LE(res.trials, 120);
 
   // The planted bug needs crashes; every other channel is noise.
-  EXPECT_GT(res.reduced.node_crash_mean_s, 0.0);
-  EXPECT_EQ(res.reduced.pod_kill_mean_s, 0.0);
-  EXPECT_EQ(res.reduced.degrade_mean_s, 0.0);
-  EXPECT_EQ(res.reduced.flaky_nic_mean_s, 0.0);
+  EXPECT_GT(res.reduced.faults.node_crash_mean_s, 0.0);
+  EXPECT_EQ(res.reduced.faults.pod_kill_mean_s, 0.0);
+  EXPECT_EQ(res.reduced.faults.degrade_mean_s, 0.0);
+  EXPECT_EQ(res.reduced.faults.flaky_nic_mean_s, 0.0);
   EXPECT_LE(res.reduced.workflows, c.workflows);
-  EXPECT_LE(res.reduced.horizon_s, c.horizon_s);
+  EXPECT_LE(res.reduced.faults.horizon_s, c.faults.horizon_s);
 
   // And the reduction prints as a pasteable regression test.
   const std::string repro = to_cpp_repro(res.reduced);

@@ -97,9 +97,9 @@ TEST(FaultInjectorTest, CrashesFireAndRebootsRestoreEveryNode) {
   EXPECT_TRUE(tb.kube().node_lifecycle_enabled());
 
   tb.sim().run_until(cfg.horizon_s + cfg.node_downtime_s + 1.0);
-  EXPECT_GT(injector.node_crashes(), 0u);
+  EXPECT_GT(injector.applied(FaultKind::kNodeCrash), 0u);
   // Skipped crash-while-down events schedule no reboot, so these balance.
-  EXPECT_EQ(injector.node_reboots(), injector.node_crashes());
+  EXPECT_EQ(injector.node_reboots(), injector.applied(FaultKind::kNodeCrash));
   for (std::size_t i = 0; i < tb.cluster().size(); ++i) {
     EXPECT_TRUE(tb.cluster().node(i).up()) << "node " << i;
   }
@@ -132,7 +132,7 @@ TEST(FaultInjectorTest, PartitionBlocksThePairThenHeals) {
   EXPECT_TRUE(net.partitioned(b, a));
   tb.sim().run_until(ev.at + ev.duration_s + 0.1);
   EXPECT_FALSE(net.partitioned(a, b));
-  EXPECT_EQ(injector.partitions(), 1u);
+  EXPECT_EQ(injector.applied(FaultKind::kPartition), 1u);
 }
 
 TEST(FaultInjectorTest, OnewayPartitionCutsOneDirectionThenHeals) {
@@ -165,7 +165,7 @@ TEST(FaultInjectorTest, OnewayPartitionCutsOneDirectionThenHeals) {
   tb.sim().run_until(ev.at + ev.duration_s + 0.1);
   EXPECT_FALSE(net.oneway_blocked(src, dst));
   EXPECT_EQ(net.blocked_oneway_count(), 0u);
-  EXPECT_EQ(injector.oneway_partitions(), 1u);
+  EXPECT_EQ(injector.applied(FaultKind::kOnewayPartition), 1u);
   EXPECT_EQ(injector.residual_depth(), 0u);
 }
 
@@ -275,8 +275,8 @@ TEST(ChaosRecovery, CrashesAndPullFailuresLoseNoWork) {
       tb.run_concurrent_mix(6, 8, metrics::MixPoint{0.5, 0.0, 0.5});
 
   // The run was actually under fire…
-  EXPECT_GT(injector.node_crashes(), 0u);
-  EXPECT_GT(injector.registry_outages(), 0u);
+  EXPECT_GT(injector.applied(FaultKind::kNodeCrash), 0u);
+  EXPECT_GT(injector.applied(FaultKind::kRegistryOutage), 0u);
   // …every workflow still finished within the retry budget…
   EXPECT_TRUE(result.all_succeeded);
   EXPECT_GT(result.slowest, 0.0);

@@ -214,7 +214,7 @@ TEST(StructuredInjector, CpuSlowPinsThenRestoresTheNode) {
   tb.sim().run_until(ev.at + ev.duration_s + 0.1);
   EXPECT_DOUBLE_EQ(node.cpu_slowdown(), 1.0);
   EXPECT_DOUBLE_EQ(node.cpu().capacity(), full_capacity);
-  EXPECT_EQ(injector.cpu_slows(), 1u);
+  EXPECT_EQ(injector.applied(FaultKind::kCpuSlow), 1u);
 }
 
 TEST(StructuredInjector, FlakyNicWindowsArmAndDisarmTheNic) {
@@ -241,7 +241,7 @@ TEST(StructuredInjector, FlakyNicWindowsArmAndDisarmTheNic) {
   EXPECT_EQ(net.node_flaky_every(nic), 3u);
   tb.sim().run_until(ev.at + ev.duration_s + 0.1);
   EXPECT_EQ(net.node_flaky_every(nic), 0u);
-  EXPECT_EQ(injector.flaky_nics(), 1u);
+  EXPECT_EQ(injector.applied(FaultKind::kFlakyNic), 1u);
 }
 
 TEST(StructuredInjector, RackPartitionCutsTheFullCutSetThenHeals) {
@@ -284,7 +284,7 @@ TEST(StructuredInjector, RackPartitionCutsTheFullCutSetThenHeals) {
                                    tb.cluster().node(out).net_id()));
     }
   }
-  EXPECT_EQ(injector.rack_partitions(), 1u);
+  EXPECT_EQ(injector.applied(FaultKind::kRackPartition), 1u);
 }
 
 // ---- Split-brain recovery invariant ----------------------------------
@@ -345,7 +345,7 @@ TEST(SplitBrainRecovery, RackCutHealsWithNoLostOrDuplicatedWork) {
   ASSERT_TRUE(finished) << "DAG stuck at t=" << tb.sim().now();
   EXPECT_TRUE(ok);
   // The run actually crossed rack cuts.
-  EXPECT_GT(injector.rack_partitions(), 0u);
+  EXPECT_GT(injector.applied(FaultKind::kRackPartition), 0u);
   // Exactly-once completion: every DAG node done, none done twice.
   EXPECT_EQ(dag.completed_nodes(), dag.node_count());
   EXPECT_EQ(static_cast<std::size_t>(executions),

@@ -120,7 +120,6 @@ TEST_F(EventingTest, FanoutToMultipleTriggers) {
 }
 
 TEST_F(EventingTest, UnknownSubscriberGoesToDeadLetters) {
-  broker.set_retry_backoff(0.05);
   broker.add_trigger("broken", "task.done", "no-such-service");
   EXPECT_FALSE(publish_and_wait(task_done("j")));
   EXPECT_EQ(broker.failed_deliveries(), 1u);
@@ -129,8 +128,6 @@ TEST_F(EventingTest, UnknownSubscriberGoesToDeadLetters) {
 }
 
 TEST_F(EventingTest, EachExhaustedDeliveryDeadLettersExactlyOnce) {
-  broker.set_retry_backoff(0.05);
-  broker.set_retry_limit(2);
   broker.add_trigger("broken", "task.done", "no-such-service");
   EXPECT_FALSE(publish_and_wait(task_done("a")));
   EXPECT_FALSE(publish_and_wait(task_done("b")));
@@ -147,7 +144,6 @@ TEST_F(EventingTest, EachExhaustedDeliveryDeadLettersExactlyOnce) {
 TEST_F(EventingTest, DeadLetterLegDoesNotBlockHealthySubscribers) {
   deploy_subscriber("listener");
   sim.run_until(30.0);
-  broker.set_retry_backoff(0.05);
   broker.add_trigger("ok", "task.done", "listener");
   broker.add_trigger("broken", "task.done", "no-such-service");
   publish_and_wait(task_done("j"));

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "container/image.hpp"
+#include "pegasus/statistics.hpp"
 #include "sim/simulation.hpp"
 
 namespace sf::pegasus {
@@ -277,11 +278,17 @@ TEST_F(PlannerTest, StatisticsSummarizeRecords) {
   EXPECT_TRUE(run_plan(plan, dag));
   std::vector<std::string> names;
   for (const auto& n : plan.nodes) names.push_back(n.name);
-  const RunStatistics stats = collect_statistics(dag, names);
-  EXPECT_EQ(stats.jobs, 5u);
-  EXPECT_GT(stats.makespan, 0);
-  EXPECT_GT(stats.mean_queue_wait, 0);
-  EXPECT_GT(stats.mean_exec_time, 0);
+  const auto rows = collect_gantt(dag, names);
+  EXPECT_EQ(rows.size(), 5u);
+  EXPECT_GT(dag.makespan(), 0);
+  double queue_wait = 0;
+  double exec_time = 0;
+  for (const GanttRow& row : rows) {
+    queue_wait += row.queue_wait();
+    exec_time += row.exec_time();
+  }
+  EXPECT_GT(queue_wait, 0);
+  EXPECT_GT(exec_time, 0);
 }
 
 TEST_F(PlannerTest, JobModeNames) {

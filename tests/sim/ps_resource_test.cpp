@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "sim/simulation.hpp"
@@ -278,10 +279,15 @@ TEST(PsResource, CancelAfterCompletionReturnsFalse) {
 
 // Property: with N identical capped jobs on C cores, makespan is
 // work * ceil-free scaling max(1, N/C). Swept with TEST_P.
+//
+// gtest names each case after the raw bytes of its parameter, so the
+// struct must have no padding: an `int jobs` left four indeterminate
+// bytes in the name and the case names changed from build to build.
 struct PsSweep {
-  int jobs;
+  std::int64_t jobs;
   double cores;
 };
+static_assert(sizeof(PsSweep) == sizeof(std::int64_t) + sizeof(double));
 
 class PsFairnessSweep : public ::testing::TestWithParam<PsSweep> {};
 
