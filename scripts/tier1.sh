@@ -3,12 +3,18 @@
 # and run the full test suite. This is the gate every change must pass.
 #
 # Usage: scripts/tier1.sh [build-dir]            (default: ./build)
+#        scripts/tier1.sh --release [build-dir]  (default: ./build-release)
 #        scripts/tier1.sh --tsan [build-dir]     (default: ./build-tsan)
 #        scripts/tier1.sh --asan [build-dir]     (default: ./build-asan)
 #        scripts/tier1.sh --chaos [build-dir]    (default: ./build)
 #        scripts/tier1.sh --fuzz [build-dir]     (default: ./build)
 #        scripts/tier1.sh --scale [build-dir]    (default: ./build)
 #        scripts/tier1.sh --figures [build-dir]  (default: ./build)
+#
+# --release builds everything as CMAKE_BUILD_TYPE=Release, still with
+# warnings as errors, and runs the full suite. -O3 inlining lets GCC see
+# through more code and warn where the default RelWithDebInfo build does
+# not.
 #
 # --tsan builds the engine + tests under ThreadSanitizer and runs the
 # SweepRunner suite — the only code that spawns threads. Keep it green:
@@ -20,133 +26,111 @@
 # what catches a stale `this` or use-after-free the happy path never
 # trips.
 #
-# --chaos builds bench/chaos_sweep and runs its smoke subset at 1 and 4
-# sweep threads, diffing both against the committed golden transcript.
-# Any drift — between thread counts or against the golden — means the
-# structured-chaos determinism contract broke.
+# The four golden legs below build their bench binaries, run each at 1 and
+# 4 sweep threads, and diff the two transcripts against each other and
+# against the committed golden. Drift between thread counts means a sweep
+# lost determinism; drift against the golden means a change moved a result.
 #
-# --fuzz builds bench/fuzz_sim and runs the pinned 32-point property-
-# fuzzer smoke sweep (each point twice, replay fingerprints compared)
-# at 1 and 4 sweep threads, diffing both against the committed golden.
-# Runs in seconds; scripts/fuzz.sh drives wider sweeps.
+# --chaos runs bench/chaos_sweep's structured-chaos smoke subset.
 #
-# --scale builds bench/scale_sweep and runs its smoke subset (small
-# open-loop serving + layered-DAG points) at 1 and 4 sweep threads,
-# diffing both against the committed golden transcript. Drift means the
-# open-loop engine or the scaled control-plane stores lost determinism.
+# --fuzz runs bench/fuzz_sim's pinned 32-point property-fuzzer smoke sweep
+# (each point twice, replay fingerprints compared). Runs in seconds;
+# scripts/fuzz.sh drives wider sweeps.
 #
-# --figures builds the figure and ablation binaries and runs each at 1 and
-# 4 sweep threads, diffing the two runs and each against its transcript in
-# tests/golden/figures/. All twelve together run in well under a second;
-# drift means a change moved a paper result.
+# --scale runs bench/scale_sweep's smoke subset (small open-loop serving +
+# layered-DAG points): the open-loop engine and the scaled control-plane
+# stores.
+#
+# --figures runs the twelve figure and ablation binaries, each against its
+# transcript in tests/golden/figures/. All twelve together run in well
+# under a second.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 
-if [[ "${1:-}" == "--figures" ]]; then
-  build_dir="${2:-$repo_root/build}"
-  golden_dir="$repo_root/tests/golden/figures"
-  figures=(fig1_container_reuse fig2_parallel_scaling fig5_tradeoff_ternary
-           fig6_makespan_bars ablate_coldstart ablate_payload
-           ablate_concurrency ablate_clustering ablate_redirection
-           ablate_resizing ablate_complex_workflow ablate_event_driven)
-  cmake -B "$build_dir" -S "$repo_root"
-  cmake --build "$build_dir" --target "${figures[@]}" -j "$(nproc)"
-  tmp="$(mktemp -d)"
-  trap 'rm -rf "$tmp"' EXIT
-  for fig in "${figures[@]}"; do
-    SF_SWEEP_THREADS=1 "$build_dir/bench/$fig" > "$tmp/$fig.serial.txt"
-    SF_SWEEP_THREADS=4 "$build_dir/bench/$fig" > "$tmp/$fig.parallel.txt"
-    diff -u "$tmp/$fig.serial.txt" "$tmp/$fig.parallel.txt" \
-      || { echo "figures: $fig: thread counts disagree" >&2; exit 1; }
-    diff -u "$golden_dir/$fig.txt" "$tmp/$fig.serial.txt" \
-      || { echo "figures: $fig: drifted from golden transcript" >&2; exit 1; }
-  done
-  echo "figures: ${#figures[@]} binaries bit-identical at 1 and 4 threads, match goldens"
-  exit 0
-fi
-
-if [[ "${1:-}" == "--scale" ]]; then
-  build_dir="${2:-$repo_root/build}"
-  golden="$repo_root/tests/golden/scale_smoke.txt"
-  cmake -B "$build_dir" -S "$repo_root"
-  cmake --build "$build_dir" --target scale_sweep -j "$(nproc)"
-  tmp="$(mktemp -d)"
-  trap 'rm -rf "$tmp"' EXIT
-  SF_SCALE_SMOKE=1 SF_SWEEP_THREADS=1 \
-    "$build_dir/bench/scale_sweep" > "$tmp/serial.txt"
-  SF_SCALE_SMOKE=1 SF_SWEEP_THREADS=4 \
-    "$build_dir/bench/scale_sweep" > "$tmp/parallel.txt"
-  diff -u "$tmp/serial.txt" "$tmp/parallel.txt" \
-    || { echo "scale smoke: thread counts disagree" >&2; exit 1; }
-  diff -u "$golden" "$tmp/serial.txt" \
-    || { echo "scale smoke: drifted from golden transcript" >&2; exit 1; }
-  echo "scale smoke: bit-identical at 1 and 4 threads, matches golden"
-  exit 0
-fi
-
-if [[ "${1:-}" == "--fuzz" ]]; then
-  build_dir="${2:-$repo_root/build}"
-  golden="$repo_root/tests/golden/fuzz_smoke.txt"
-  cmake -B "$build_dir" -S "$repo_root"
-  cmake --build "$build_dir" --target fuzz_sim -j "$(nproc)"
-  tmp="$(mktemp -d)"
-  trap 'rm -rf "$tmp"' EXIT
-  SF_FUZZ_SMOKE=1 SF_SWEEP_THREADS=1 \
-    "$build_dir/bench/fuzz_sim" > "$tmp/serial.txt"
-  SF_FUZZ_SMOKE=1 SF_SWEEP_THREADS=4 \
-    "$build_dir/bench/fuzz_sim" > "$tmp/parallel.txt"
-  diff -u "$tmp/serial.txt" "$tmp/parallel.txt" \
-    || { echo "fuzz smoke: thread counts disagree" >&2; exit 1; }
-  diff -u "$golden" "$tmp/serial.txt" \
-    || { echo "fuzz smoke: drifted from golden transcript" >&2; exit 1; }
-  echo "fuzz smoke: bit-identical at 1 and 4 threads, matches golden"
-  exit 0
-fi
-
-if [[ "${1:-}" == "--chaos" ]]; then
-  build_dir="${2:-$repo_root/build}"
-  golden="$repo_root/tests/golden/chaos_smoke.txt"
-  cmake -B "$build_dir" -S "$repo_root"
-  cmake --build "$build_dir" --target chaos_sweep -j "$(nproc)"
-  tmp="$(mktemp -d)"
-  trap 'rm -rf "$tmp"' EXIT
-  SF_CHAOS_SMOKE=1 SF_SWEEP_THREADS=1 \
-    "$build_dir/bench/chaos_sweep" > "$tmp/serial.txt"
-  SF_CHAOS_SMOKE=1 SF_SWEEP_THREADS=4 \
-    "$build_dir/bench/chaos_sweep" > "$tmp/parallel.txt"
-  diff -u "$tmp/serial.txt" "$tmp/parallel.txt" \
-    || { echo "chaos smoke: thread counts disagree" >&2; exit 1; }
-  diff -u "$golden" "$tmp/serial.txt" \
-    || { echo "chaos smoke: drifted from golden transcript" >&2; exit 1; }
-  echo "chaos smoke: bit-identical at 1 and 4 threads, matches golden"
-  exit 0
-fi
-
-if [[ "${1:-}" == "--asan" ]]; then
-  build_dir="${2:-$repo_root/build-asan}"
-  cmake -B "$build_dir" -S "$repo_root" \
-    -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-omit-frame-pointer -g" \
-    -DSERVERFLOW_BUILD_BENCH=OFF \
-    -DSERVERFLOW_BUILD_EXAMPLES=OFF
+# Configures <build-dir> with the given cmake arguments, builds everything
+# and runs the full suite.
+#   full_suite <build-dir> [cmake-arg...]
+full_suite() {
+  local build_dir="$1"
+  shift
+  cmake -B "$build_dir" -S "$repo_root" "$@"
   cmake --build "$build_dir" -j "$(nproc)"
   ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
-  exit 0
-fi
+}
 
-if [[ "${1:-}" == "--tsan" ]]; then
-  build_dir="${2:-$repo_root/build-tsan}"
-  cmake -B "$build_dir" -S "$repo_root" \
-    -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer -g" \
-    -DSERVERFLOW_BUILD_BENCH=OFF \
-    -DSERVERFLOW_BUILD_EXAMPLES=OFF
-  cmake --build "$build_dir" --target sim_test -j "$(nproc)"
-  ctest --test-dir "$build_dir" --output-on-failure -R 'SweepRunnerTest' \
-    -j "$(nproc)"
-  exit 0
-fi
+# Builds each bench <target>, runs it at SF_SWEEP_THREADS=1 and 4 with
+# <smoke-var>=1 set (none when empty), and fails unless both transcripts
+# are identical and equal <golden>.
+#   golden_diff <label> <build-dir> <smoke-var> <target>:<golden>...
+golden_diff() {
+  local label="$1" build_dir="$2" smoke="$3"
+  shift 3
+  cmake -B "$build_dir" -S "$repo_root"
+  cmake --build "$build_dir" --target "${@%%:*}" -j "$(nproc)"
+  tmp="$(mktemp -d)"
+  trap 'rm -rf "$tmp"' EXIT
+  local pair target golden threads
+  for pair in "$@"; do
+    target="${pair%%:*}"
+    golden="${pair#*:}"
+    for threads in 1 4; do
+      env ${smoke:+"$smoke=1"} SF_SWEEP_THREADS="$threads" \
+        "$build_dir/bench/$target" > "$tmp/$target.$threads.txt"
+    done
+    diff -u "$tmp/$target.1.txt" "$tmp/$target.4.txt" \
+      || { echo "$label: $target: thread counts disagree" >&2; exit 1; }
+    diff -u "$golden" "$tmp/$target.1.txt" \
+      || { echo "$label: $target: drifted from golden transcript" >&2; exit 1; }
+  done
+  echo "$label: bit-identical at 1 and 4 threads, matches golden:" "${@%%:*}"
+}
 
-build_dir="${1:-$repo_root/build}"
-cmake -B "$build_dir" -S "$repo_root"
-cmake --build "$build_dir" -j "$(nproc)"
-ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
+goldens="$repo_root/tests/golden"
+case "${1:-}" in
+  --figures)
+    figures=()
+    for fig in fig1_container_reuse fig2_parallel_scaling \
+               fig5_tradeoff_ternary fig6_makespan_bars ablate_coldstart \
+               ablate_payload ablate_concurrency ablate_clustering \
+               ablate_redirection ablate_resizing ablate_complex_workflow \
+               ablate_event_driven; do
+      figures+=("$fig:$goldens/figures/$fig.txt")
+    done
+    golden_diff figures "${2:-$repo_root/build}" "" "${figures[@]}"
+    ;;
+  --scale)
+    golden_diff "scale smoke" "${2:-$repo_root/build}" SF_SCALE_SMOKE \
+      "scale_sweep:$goldens/scale_smoke.txt"
+    ;;
+  --fuzz)
+    golden_diff "fuzz smoke" "${2:-$repo_root/build}" SF_FUZZ_SMOKE \
+      "fuzz_sim:$goldens/fuzz_smoke.txt"
+    ;;
+  --chaos)
+    golden_diff "chaos smoke" "${2:-$repo_root/build}" SF_CHAOS_SMOKE \
+      "chaos_sweep:$goldens/chaos_smoke.txt"
+    ;;
+  --release)
+    full_suite "${2:-$repo_root/build-release}" -DCMAKE_BUILD_TYPE=Release
+    ;;
+  --asan)
+    full_suite "${2:-$repo_root/build-asan}" \
+      -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-omit-frame-pointer -g" \
+      -DSERVERFLOW_BUILD_BENCH=OFF \
+      -DSERVERFLOW_BUILD_EXAMPLES=OFF
+    ;;
+  --tsan)
+    build_dir="${2:-$repo_root/build-tsan}"
+    cmake -B "$build_dir" -S "$repo_root" \
+      -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer -g" \
+      -DSERVERFLOW_BUILD_BENCH=OFF \
+      -DSERVERFLOW_BUILD_EXAMPLES=OFF
+    cmake --build "$build_dir" --target sim_test -j "$(nproc)"
+    ctest --test-dir "$build_dir" --output-on-failure -R 'SweepRunnerTest' \
+      -j "$(nproc)"
+    ;;
+  *)
+    full_suite "${1:-$repo_root/build}"
+    ;;
+esac

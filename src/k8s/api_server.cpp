@@ -26,33 +26,6 @@ std::uint32_t ApiServer::find_node_slot(const std::string& name) const {
   return it == node_slot_ids_.end() ? kNoSlot : it->second;
 }
 
-void ApiServer::drop_recovery_pending(std::uint32_t slot) {
-  const auto it =
-      std::find(recovery_pending_.begin(), recovery_pending_.end(), slot);
-  if (it == recovery_pending_.end()) return;
-  *it = recovery_pending_.back();
-  recovery_pending_.pop_back();
-}
-
-void ApiServer::sync_node_tracking(std::uint32_t slot) {
-  NodeSlot& ns = node_slots_[slot];
-  const bool registered = ns.obj.has_value();
-  const bool ready = registered && ns.obj->ready;
-  node_flags_[slot] = static_cast<std::uint8_t>(
-      (registered ? kNodeRegistered : 0) | (ready ? kNodeReady : 0));
-  if (ready) {
-    lease_index_.renew(slot, node_lease_[slot]);  // tracks when untracked
-    drop_recovery_pending(slot);
-  } else {
-    lease_index_.untrack(slot);
-    if (registered &&
-        std::find(recovery_pending_.begin(), recovery_pending_.end(), slot) ==
-            recovery_pending_.end()) {
-      recovery_pending_.push_back(slot);
-    }
-  }
-}
-
 void ApiServer::register_node(NodeObject node) {
   const std::uint32_t slot = node_slot(node.name);
   NodeSlot& ns = node_slots_[slot];
@@ -64,9 +37,10 @@ void ApiServer::register_node(NodeObject node) {
         });
     node_order_.insert(pos, slot);
   }
-  ns.obj = std::move(node);
+  node_flags_[slot] = static_cast<std::uint8_t>(
+      kNodeRegistered | (node.ready ? kNodeReady : 0));
   node_lease_[slot] = sim_.now();
-  sync_node_tracking(slot);
+  ns.obj = std::move(node);
 }
 
 bool ApiServer::set_node_ready(const std::string& name, bool ready) {
@@ -75,7 +49,8 @@ bool ApiServer::set_node_ready(const std::string& name, bool ready) {
   NodeSlot& ns = node_slots_[slot];
   if (!ns.obj.has_value() || ns.obj->ready == ready) return false;
   ns.obj->ready = ready;
-  sync_node_tracking(slot);
+  node_flags_[slot] = static_cast<std::uint8_t>(
+      kNodeRegistered | (ready ? kNodeReady : 0));
   sim_.trace().record(sim_.now(), "api", ready ? "node_ready" : "node_not_ready",
                       {{"node", name}});
   notify_node(EventType::kModified, *ns.obj);
@@ -93,23 +68,18 @@ double ApiServer::node_lease(const std::string& name) const {
   return node_lease_[slot];
 }
 
-std::size_t ApiServer::collect_expired_leases(double now, double duration,
-                                              std::vector<std::string>& out) {
-  const std::size_t before = out.size();
-  lease_index_.pop_expired(now, duration, [&](std::uint32_t slot) {
-    out.push_back(node_slots_[slot].name);
-  });
-  return out.size() - before;
-}
-
-std::size_t ApiServer::collect_lease_recovery_candidates(
-    double now, double duration, std::vector<std::string>& out) {
-  for (const std::uint32_t slot : recovery_pending_) {
-    if (now - node_lease_[slot] <= duration) {
-      out.push_back(node_slots_[slot].name);
+std::size_t ApiServer::collect_lease_transitions(
+    double now, double duration, std::vector<std::string>& expired,
+    std::vector<std::string>& recovered) const {
+  for (const std::uint32_t slot : node_order_) {
+    const double age = now - node_lease_[slot];
+    if ((node_flags_[slot] & kNodeReady) != 0) {
+      if (age > duration) expired.push_back(node_slots_[slot].name);
+    } else if (age <= duration) {
+      recovered.push_back(node_slots_[slot].name);
     }
   }
-  return recovery_pending_.size();
+  return node_order_.size();
 }
 
 // ---- Pod side arrays ----------------------------------------------------

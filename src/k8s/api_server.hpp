@@ -8,7 +8,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "k8s/lease_index.hpp"
 #include "k8s/named_store.hpp"
 #include "k8s/objects.hpp"
 #include "sim/simulation.hpp"
@@ -35,11 +34,9 @@ enum class EventType { kAdded, kModified, kDeleted };
 /// uint32_t slot holding its lease, usage aggregate, node-scoped watch
 /// shard, and the posting list of pod slots bound to it. Pod events carry
 /// their node slot through side arrays, so the per-event path never hashes
-/// a node name. Lease deadlines are mirrored into a calendarized
-/// LeaseIndex so the lifecycle sweep pops only expired leases instead of
-/// rescanning every node. Registered node slots are also kept in name
-/// order, so a full node scan (the scheduler's) reads every node by slot
-/// in the order a name-keyed map would iterate.
+/// a node name. Registered node slots are also kept in name order, so a
+/// full node scan (the scheduler's, the lifecycle sweep's) reads every
+/// node by slot in the order a name-keyed map would iterate.
 ///
 /// Each Service also has a live ready set — the endpoints a full rebuild
 /// from the pod store would list — maintained beside the usage aggregates
@@ -92,8 +89,6 @@ class ApiServer {
 
   /// Flips a node's Ready condition and notifies node watchers
   /// (kModified). Returns false when the node is unknown or unchanged.
-  /// Keeps the lease index in sync: ready nodes are deadline-tracked,
-  /// not-ready nodes sit on the recovery-pending list instead.
   bool set_node_ready(const std::string& name, bool ready);
 
   /// Kubelet heartbeat: refreshes the node's lease timestamp.
@@ -101,15 +96,13 @@ class ApiServer {
 
   /// Slot-addressed heartbeat (heartbeat-wheel hot path): no name hash.
   /// No-op for slots that never registered as nodes, mirroring the
-  /// name-keyed overload. Reads only the dense lease/flag side arrays —
+  /// name-keyed overload. Touches only the dense lease/flag side arrays —
   /// never the fat NodeSlot record — so a 10k-node wheel tick stays
-  /// cache-resident (~20 bytes per node, not several scattered lines).
+  /// cache-resident (9 bytes per node, not several scattered lines).
   void renew_node_lease_slot(std::uint32_t slot) {
-    const std::uint8_t f = node_flags_[slot];
-    if ((f & kNodeRegistered) == 0) return;
-    const double now = sim_.now();
-    node_lease_[slot] = now;
-    if ((f & kNodeReady) != 0) lease_index_.renew(slot, now);
+    if ((node_flags_[slot] & kNodeRegistered) != 0) {
+      node_lease_[slot] = sim_.now();
+    }
   }
 
   /// Sim time of the node's last heartbeat (registration time when the
@@ -122,21 +115,15 @@ class ApiServer {
   /// Slot lookup without creation; kNoSlot when the name was never seen.
   [[nodiscard]] std::uint32_t find_node_slot(const std::string& name) const;
 
-  /// Pops every ready node whose lease has expired — the exact predicate
-  /// `now - lease > duration` the per-node rescan applied — appending
-  /// their names to `out` (bucket order; callers sort when visitation
-  /// order is observable). Popped nodes leave the deadline index; the
-  /// caller is expected to flip them NotReady, which parks them on the
-  /// recovery-pending list. Returns the number of nodes popped.
-  std::size_t collect_expired_leases(double now, double duration,
-                                     std::vector<std::string>& out);
-
-  /// Appends the names of not-ready nodes whose lease is fresh again
-  /// (`now - lease <= duration`) to `out` — the recovery half of the old
-  /// full rescan, examining only nodes currently NotReady. Returns the
-  /// number of pending nodes examined.
-  std::size_t collect_lease_recovery_candidates(double now, double duration,
-                                                std::vector<std::string>& out);
+  /// One pass over the registered nodes in name order, reading the dense
+  /// lease and flag arrays: appends each ready node whose lease has
+  /// expired (`now - lease > duration`) to `expired`, and each not-ready
+  /// node whose lease is fresh (`now - lease <= duration`) to `recovered`.
+  /// Both lists come out in name order. Changes nothing; returns the
+  /// number of nodes examined.
+  std::size_t collect_lease_transitions(
+      double now, double duration, std::vector<std::string>& expired,
+      std::vector<std::string>& recovered) const;
 
   void watch_nodes(NodeWatch watch) {
     node_watches_.push_back(std::move(watch));
@@ -297,10 +284,10 @@ class ApiServer {
 
   /// Everything node-indexed, one dense slot per node name ever seen.
   /// Slots are never recycled (node cardinality is bounded by topology),
-  /// so a slot held by the lease index, a watch shard, or a pod side array
-  /// stays valid for the run. Lives in a deque: a watcher registering a
-  /// new node shard mid-delivery must not move the shard currently being
-  /// iterated.
+  /// so a slot held by the heartbeat wheel, a watch shard, or a pod side
+  /// array stays valid for the run. Lives in a deque: a watcher
+  /// registering a new node shard mid-delivery must not move the shard
+  /// currently being iterated.
   struct NodeSlot {
     std::string name;
     std::optional<NodeObject> obj;  ///< empty until registered
@@ -310,7 +297,8 @@ class ApiServer {
   };
 
   /// node_flags_ bits, kept in lockstep with NodeSlot::obj / obj->ready so
-  /// the heartbeat path never chases the NodeSlot or NodeObject records.
+  /// the heartbeat and sweep paths never chase the NodeSlot or NodeObject
+  /// records.
   static constexpr std::uint8_t kNodeRegistered = 1;
   static constexpr std::uint8_t kNodeReady = 2;
 
@@ -352,11 +340,6 @@ class ApiServer {
   void link_pod_owner(std::uint32_t pod_slot, const std::string& owner);
   void unlink_pod_owner(std::uint32_t pod_slot);
 
-  /// Re-establishes tracked ⇔ (registered && ready) for `slot` after a
-  /// ready flip or (re-)registration.
-  void sync_node_tracking(std::uint32_t slot);
-  void drop_recovery_pending(std::uint32_t slot);
-
   sim::Simulation& sim_;
   double api_latency_;
   Uid next_uid_ = 1;
@@ -389,15 +372,10 @@ class ApiServer {
   /// Slots of registered nodes, sorted by name (see for_each_node).
   std::vector<std::uint32_t> node_order_;
 
-  // Heartbeat hot-path side arrays, indexed by node slot (see
+  // Heartbeat and sweep side arrays, indexed by node slot (see
   // renew_node_lease_slot): last lease stamp and registered/ready flags.
   std::vector<double> node_lease_;
   std::vector<std::uint8_t> node_flags_;
-
-  // Lease deadlines of ready nodes, calendarized; not-ready nodes wait on
-  // the recovery-pending list (O(not-ready) per sweep, not O(nodes)).
-  LeaseIndex lease_index_;
-  std::vector<std::uint32_t> recovery_pending_;
 
   // Owner-slot space for the per-deployment pod index. Owner slots are
   // never recycled: a deployment's NamedStore slot can be reused while

@@ -134,23 +134,12 @@ NodeLifecycleController::NodeLifecycleController(ApiServer& api,
 }
 
 void NodeLifecycleController::sweep() {
-  const double now = api_.sim().now();
-  // Deadline-ordered: expired leases pop off the API server's calendar
-  // index (O(expired), zero per-node work when every lease is fresh) and
-  // recovery candidates come off the recovery-pending list (O(not-ready)).
-  // Both lists are collected before any transition is applied — the same
-  // snapshot semantics the old full rescan had — and sorted by name so
-  // transitions (and their traces/watch events) replay the old name-order
-  // visitation bit for bit.
+  // Both lists are collected, in name order, before any transition is
+  // applied: every node is judged on the state the sweep started from.
   std::vector<std::string> expired;
   std::vector<std::string> recovered;
-  sweep_probes_ +=
-      api_.collect_expired_leases(now, cfg_.lease_duration_s, expired);
-  sweep_probes_ +=
-      api_.collect_lease_recovery_candidates(now, cfg_.lease_duration_s,
-                                             recovered);
-  std::sort(expired.begin(), expired.end());
-  std::sort(recovered.begin(), recovered.end());
+  sweep_probes_ += api_.collect_lease_transitions(
+      api_.sim().now(), cfg_.lease_duration_s, expired, recovered);
   for (const auto& name : expired) {
     ++not_ready_transitions_;
     api_.set_node_ready(name, false);

@@ -76,9 +76,9 @@ struct NodeLifecycleConfig {
 /// pods are force-finalized) → heartbeats resume → node Ready again →
 /// scheduler retries anything pending.
 ///
-/// Deadline-ordered: a sweep pops expired leases off the API server's
-/// calendarized deadline index and examines only NotReady nodes for
-/// recovery — per-sweep cost scales with what changed, not cluster size.
+/// Each sweep reads every registered node's lease and Ready flag in place,
+/// in name order: one pass over dense arrays, about the cost of the
+/// heartbeat tick that runs beside it.
 ///
 /// NOTE: the sweep keeps one event pending forever — enable only in
 /// scenarios driven to a workload-defined end (see the heartbeat wheel).
@@ -94,9 +94,7 @@ class NodeLifecycleController {
     return not_ready_transitions_;
   }
 
-  /// Probe counter: per-node work items a sweep examined (expired leases
-  /// popped + recovery candidates checked). The regression test pins this
-  /// to 0 across sweeps where nothing expired — the complexity claim.
+  /// Probe counter: registered nodes examined, one per node per sweep.
   [[nodiscard]] std::uint64_t sweep_probes() const { return sweep_probes_; }
 
   /// Probe counter: pods examined by evictions (only the affected node's

@@ -6,15 +6,8 @@ namespace sf::k8s {
 
 std::uint32_t HeartbeatWheel::add(Kubelet& kubelet) {
   const std::uint32_t m = static_cast<std::uint32_t>(members_.size());
-  members_.push_back(Member{&kubelet, &kubelet.connectivity_probe(),
-                            api_.node_slot(kubelet.node_name()), tail_, kNone,
-                            true});
-  if (tail_ == kNone) {
-    head_ = m;
-  } else {
-    members_[tail_].next = m;
-  }
-  tail_ = m;
+  members_.push_back(Member{&kubelet.connectivity_probe(),
+                            api_.node_slot(kubelet.node_name()), true});
   if (kubelet.heartbeat_alive()) {
     api_.renew_node_lease_slot(members_[m].node_slot);
   }
@@ -22,34 +15,11 @@ std::uint32_t HeartbeatWheel::add(Kubelet& kubelet) {
 }
 
 void HeartbeatWheel::remove(std::uint32_t member) {
-  Member& mem = members_[member];
-  if (!mem.live) return;
-  if (mem.prev == kNone) {
-    head_ = mem.next;
-  } else {
-    members_[mem.prev].next = mem.next;
-  }
-  if (mem.next == kNone) {
-    tail_ = mem.prev;
-  } else {
-    members_[mem.next].prev = mem.prev;
-  }
-  mem.prev = mem.next = kNone;
-  mem.live = false;
+  members_[member].live = false;
 }
 
 void HeartbeatWheel::restore(std::uint32_t member) {
-  Member& mem = members_[member];
-  if (mem.live) return;
-  mem.prev = tail_;
-  mem.next = kNone;
-  if (tail_ == kNone) {
-    head_ = member;
-  } else {
-    members_[tail_].next = member;
-  }
-  tail_ = member;
-  mem.live = true;
+  members_[member].live = true;
 }
 
 void HeartbeatWheel::start(double interval_s) {
@@ -64,8 +34,8 @@ void HeartbeatWheel::tick() {
   // crash/reboot), so the connectivity probe is the only gate evaluated
   // here. Reading the cached probe pointer touches one kubelet cache line
   // per member — the difference between 5x and 4x at 10k nodes.
-  for (std::uint32_t m = head_; m != kNone; m = members_[m].next) {
-    const Member& mem = members_[m];
+  for (const Member& mem : members_) {
+    if (!mem.live) continue;
     const std::function<bool()>& reachable = *mem.probe;
     if (!reachable || reachable()) {
       api_.renew_node_lease_slot(mem.node_slot);

@@ -21,10 +21,9 @@ class Kubelet;
 /// Per-node gating is preserved: each tick re-evaluates
 /// Kubelet::heartbeat_alive() (node up + control plane reachable), so a
 /// down or partitioned node's lease goes stale exactly as before.
-/// Permanently failed nodes don't even pay the per-tick check: KubeCluster
-/// removes a member on node crash and restores it on reboot (intrusive
-/// live list, O(1) both ways) — dead kubelets stop ticking instead of
-/// being polled for the rest of the run.
+/// Crashed nodes don't pay the probe: KubeCluster removes a member on node
+/// crash and restores it on reboot, which only flips the member's `live`
+/// flag, and the tick skips members whose flag is clear.
 ///
 /// NOTE: once started, the wheel keeps one event pending forever — only
 /// start it in scenarios driven to a workload-defined end (fault
@@ -43,12 +42,11 @@ class HeartbeatWheel {
   /// the member id used by remove()/restore().
   std::uint32_t add(Kubelet& kubelet);
 
-  /// Detaches a member from the live list (node crashed). Idempotent.
+  /// Stops renewing a member's lease (node crashed). Idempotent.
   void remove(std::uint32_t member);
 
-  /// Re-attaches a member (node rebooted); its lease renews at the next
-  /// wheel tick, exactly when the old per-kubelet timer would have fired.
-  /// Idempotent.
+  /// Resumes renewing a member's lease (node rebooted), from the next
+  /// wheel tick on. Idempotent.
   void restore(std::uint32_t member);
 
   /// Starts the shared tick. Idempotent; the first call pins the interval.
@@ -60,26 +58,21 @@ class HeartbeatWheel {
   void tick();
 
   struct Member {
-    Kubelet* kubelet = nullptr;
-    /// Cached &kubelet->connectivity_probe(): the probe object's address
-    /// is stable even when the probe is (re)assigned, and reading it skips
-    /// the kubelet + node chases on the tick path. Live-list membership
+    /// The kubelet's &connectivity_probe(): the probe object's address is
+    /// stable even when the probe is (re)assigned, and reading it skips
+    /// the kubelet + node chases on the tick path. A set `live` flag
     /// already implies the node is up — the owner removes members on crash
     /// and restores them on reboot — so the probe is the only per-tick
     /// liveness input.
     const std::function<bool()>* probe = nullptr;
     std::uint32_t node_slot = 0;  ///< ApiServer node slot (renew hot path)
-    std::uint32_t prev = kNone;
-    std::uint32_t next = kNone;
     bool live = false;
   };
 
   ApiServer& api_;
   double interval_ = 1.0;
   bool started_ = false;
-  std::vector<Member> members_;
-  std::uint32_t head_ = kNone;
-  std::uint32_t tail_ = kNone;
+  std::vector<Member> members_;  ///< in add order
 };
 
 }  // namespace sf::k8s

@@ -86,7 +86,7 @@ int initial_replicas(const Annotations& a) {
 
 std::string KnativeServing::revision_name(const std::string& service,
                                           int generation) {
-  char suffix[8];
+  char suffix[sizeof("--2147483648")];  // fits "-" and any int
   std::snprintf(suffix, sizeof(suffix), "-%05d", generation);
   return service + suffix;
 }

@@ -34,6 +34,14 @@ class CatalogTest : public ::testing::Test {
                                              cl->node(1).net_id(), ccfg);
   }
 
+  /// resolve("k<i>"). Appends rather than writing "k" + std::to_string(i),
+  /// which GCC 12 flags with a false -Wrestrict at -O3.
+  std::pair<bool, storage::Volume*> resolve_key(int i) {
+    std::string lfn = "k";
+    lfn += std::to_string(i);
+    return resolve(lfn);
+  }
+
   /// One lookup driven to completion; returns (ok, volume).
   std::pair<bool, storage::Volume*> resolve(const std::string& lfn) {
     bool done = false;
@@ -245,7 +253,7 @@ TEST_F(CatalogTest, BreakerOpensAfterConsecutiveFailures) {
   build(one_shot_breaker());
   service->set_outage_until(sim.now() + 1000.0);
   for (int i = 0; i < 3; ++i) {
-    const auto [ok, vol] = resolve("k" + std::to_string(i));
+    const auto [ok, vol] = resolve_key(i);
     EXPECT_FALSE(ok);
     EXPECT_EQ(vol, nullptr);
   }
@@ -264,7 +272,7 @@ TEST_F(CatalogTest, HalfOpenProbeClosesOnHealthyService) {
   rc.register_replica("f", disk);
   build(one_shot_breaker());
   service->set_outage_until(sim.now() + 5.0);
-  for (int i = 0; i < 3; ++i) resolve("k" + std::to_string(i));
+  for (int i = 0; i < 3; ++i) resolve_key(i);
   ASSERT_EQ(client->breaker_state(), BreakerState::kOpen);
   // Open window (10 s) outlasts the outage (5 s): the probe finds the
   // service healthy and the breaker snaps closed.
@@ -279,7 +287,7 @@ TEST_F(CatalogTest, HalfOpenProbeClosesOnHealthyService) {
 TEST_F(CatalogTest, HalfOpenProbeFailureReopens) {
   build(one_shot_breaker());
   service->set_outage_until(sim.now() + 1000.0);
-  for (int i = 0; i < 3; ++i) resolve("k" + std::to_string(i));
+  for (int i = 0; i < 3; ++i) resolve_key(i);
   ASSERT_EQ(client->breaker_state(), BreakerState::kOpen);
   advance_to(sim.now() + 11.0);
   // Window elapsed, outage persists: the probe fails and re-arms a full
@@ -302,7 +310,7 @@ TEST_F(CatalogTest, StaleEntryStandsInWhileBreakerOpen) {
   resolve("f");  // warm the entry
   advance_to(sim.now() + 6.0);  // let it expire
   service->set_outage_until(sim.now() + 1000.0);
-  for (int i = 0; i < 3; ++i) resolve("k" + std::to_string(i));
+  for (int i = 0; i < 3; ++i) resolve_key(i);
   ASSERT_EQ(client->breaker_state(), BreakerState::kOpen);
   // Expired entry + open breaker: the stale location is served rather
   // than failing the caller.
@@ -321,7 +329,7 @@ TEST_F(CatalogTest, StaleReadDisabledFailsInstead) {
   resolve("f");
   advance_to(sim.now() + 6.0);
   service->set_outage_until(sim.now() + 1000.0);
-  for (int i = 0; i < 3; ++i) resolve("k" + std::to_string(i));
+  for (int i = 0; i < 3; ++i) resolve_key(i);
   const auto [ok, vol] = resolve("f");
   EXPECT_FALSE(ok);
   EXPECT_EQ(vol, nullptr);
@@ -337,7 +345,7 @@ TEST_F(CatalogTest, StaleServeDoesNotExtendExpiry) {
   resolve("f");
   advance_to(sim.now() + 6.0);
   service->set_outage_until(sim.now() + 2.0);  // short outage
-  for (int i = 0; i < 3; ++i) resolve("k" + std::to_string(i));
+  for (int i = 0; i < 3; ++i) resolve_key(i);
   resolve("f");  // stale served while open
   EXPECT_EQ(client->stale_served(), 1u);
   const auto calls_before = client->service_calls();
@@ -399,7 +407,7 @@ TEST_F(CatalogTest, RegisterWritesThroughServiceAndCache) {
 TEST_F(CatalogTest, RegisterFailsFastWithBreakerOpen) {
   build(one_shot_breaker());
   service->set_outage_until(sim.now() + 1000.0);
-  for (int i = 0; i < 3; ++i) resolve("k" + std::to_string(i));
+  for (int i = 0; i < 3; ++i) resolve_key(i);
   ASSERT_EQ(client->breaker_state(), BreakerState::kOpen);
   bool done = false;
   bool ok = true;

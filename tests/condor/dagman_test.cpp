@@ -99,7 +99,9 @@ TEST_F(DagManTest, WideFanoutAllRun) {
   DagMan dag(pool);
   dag.add_node(node("root", {}));
   for (int i = 0; i < 20; ++i) {
-    dag.add_node(node("w" + std::to_string(i), {"root"}));
+    std::string name = "w";
+    name += std::to_string(i);
+    dag.add_node(node(name, {"root"}));
   }
   bool ok = false;
   dag.run([&](bool success) { ok = success; });
@@ -111,7 +113,9 @@ TEST_F(DagManTest, WideFanoutAllRun) {
 TEST_F(DagManTest, MaxJobsThrottleLimitsSubmissions) {
   DagMan dag(pool, DagConfig{.scan_interval_s = 5.0, .max_jobs = 3});
   for (int i = 0; i < 9; ++i) {
-    dag.add_node(node("w" + std::to_string(i), {}, 2.0));
+    std::string name = "w";
+    name += std::to_string(i);
+    dag.add_node(node(name, {}, 2.0));
   }
   bool ok = false;
   dag.run([&](bool success) { ok = success; });

@@ -60,7 +60,9 @@ TEST_F(MatchmakingTest, HigherPriorityStartsFirst) {
 TEST_F(MatchmakingTest, EqualPriorityStaysFifo) {
   std::vector<std::string> order;
   for (int i = 0; i < 4; ++i) {
-    JobSpec spec = job("j" + std::to_string(i));
+    std::string id = "j";
+    id += std::to_string(i);
+    JobSpec spec = job(id);
     spec.on_done = [&order, name = spec.name](const JobRecord&) {
       order.push_back(name);
     };

@@ -40,6 +40,15 @@ class CondorPoolTest : public ::testing::Test {
     spec.submit_volume = &pool->submit_staging();
     return spec;
   }
+
+  /// compute_job("t<i>", work). Appends rather than writing
+  /// "t" + std::to_string(i), which GCC 12 flags with a false -Wrestrict
+  /// at -O3.
+  JobSpec compute_job(int i, double work) {
+    std::string name = "t";
+    name += std::to_string(i);
+    return compute_job(name, work);
+  }
 };
 
 TEST_F(CondorPoolTest, WorkerCrashAbortsRunningJobWithNoZombies) {
@@ -113,7 +122,7 @@ TEST_F(CondorPoolTest, DispatchSerializesParallelJobs) {
   // 8 zero-ish work jobs: starts are spaced by dispatch_interval.
   std::vector<double> starts;
   for (int i = 0; i < 8; ++i) {
-    JobSpec spec = compute_job("t" + std::to_string(i), 0.001);
+    JobSpec spec = compute_job(i, 0.001);
     spec.on_done = [&, i](const JobRecord& rec) {
       starts.push_back(rec.start_time);
     };
@@ -132,7 +141,7 @@ TEST_F(CondorPoolTest, JobsSpreadAcrossWorkers) {
   std::set<std::string> workers;
   int completed = 0;
   for (int i = 0; i < 6; ++i) {
-    JobSpec spec = compute_job("t" + std::to_string(i), 5.0);
+    JobSpec spec = compute_job(i, 5.0);
     spec.on_done = [&](const JobRecord& rec) {
       workers.insert(rec.worker);
       ++completed;
@@ -195,7 +204,7 @@ TEST_F(CondorPoolTest, MaxRunningThrottle) {
   int peak = 0;
   int completed = 0;
   for (int i = 0; i < 6; ++i) {
-    JobSpec spec = compute_job("t" + std::to_string(i), 2.0);
+    JobSpec spec = compute_job(i, 2.0);
     spec.on_done = [&](const JobRecord&) { ++completed; };
     pool->submit(std::move(spec));
   }
@@ -234,7 +243,7 @@ TEST_F(CondorPoolTest, PoolSaturationQueuesOverflow) {
   // 25 long jobs on 24 cores: one waits for a slot.
   int completed = 0;
   for (int i = 0; i < 25; ++i) {
-    JobSpec spec = compute_job("t" + std::to_string(i), 10.0);
+    JobSpec spec = compute_job(i, 10.0);
     spec.on_done = [&](const JobRecord&) { ++completed; };
     pool->submit(std::move(spec));
   }

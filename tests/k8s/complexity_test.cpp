@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "container/image.hpp"
 #include "k8s/api_server.hpp"
@@ -42,14 +43,14 @@ class ComplexityTest : public ::testing::Test {
   }
 };
 
-TEST_F(ComplexityTest, SweepWithNothingExpiredDoesZeroPerNodeWork) {
+TEST_F(ComplexityTest, SweepExaminesEachRegisteredNodeOncePerSweep) {
   register_nodes(512);
   NodeLifecycleConfig cfg;
   cfg.lease_duration_s = 1e9;  // nothing ever expires
   cfg.sweep_interval_s = 1.0;
   NodeLifecycleController ctl{api, cfg};
-  sim.run_until(50.0);  // 50 sweeps over 512 fresh leases
-  EXPECT_EQ(ctl.sweep_probes(), 0u);
+  sim.run_until(49.5);  // sweeps at t = 0, 1, ..., 49
+  EXPECT_EQ(ctl.sweep_probes(), 50u * 512u);
   EXPECT_EQ(ctl.not_ready_transitions(), 0u);
   EXPECT_EQ(ctl.evictions(), 0u);
 }
@@ -111,6 +112,126 @@ TEST_F(ComplexityTest, ReconcileTouchesOnlyTheOwningDeploymentsPods) {
   EXPECT_EQ(api.list_pods().size(), 38u);
 }
 
+/// The lifecycle sweep's observable contract: which nodes flip, at which
+/// sweep, and in what order a node watch sees them. Default config: 4 s
+/// leases, sweeps at every whole second from t = 0.
+class NodeLifecycleTest : public ::testing::Test {
+ protected:
+  sim::Simulation sim;
+  ApiServer api{sim};
+  std::vector<std::string> seen;  ///< node watch events, "name:ready" etc.
+
+  NodeLifecycleTest() {
+    api.watch_nodes([this](EventType, const NodeObject& node) {
+      seen.push_back(node.name + (node.ready ? ":ready" : ":not-ready"));
+    });
+  }
+
+  void register_node(const std::string& name) {
+    NodeObject node;
+    node.name = name;
+    node.allocatable_cpu = 64;
+    node.allocatable_memory = 256e9;
+    api.register_node(node);
+  }
+
+  [[nodiscard]] bool ready(const std::string& name) const {
+    bool r = false;
+    api.for_each_node([&](std::uint32_t, const NodeObject& node,
+                          const ApiServer::NodeUsage&) {
+      if (node.name == name) r = node.ready;
+    });
+    return r;
+  }
+};
+
+TEST_F(NodeLifecycleTest, TransitionsFollowNameOrderNotRegistrationOrder) {
+  register_node("node9");
+  register_node("node10");
+  register_node("node1");
+  NodeLifecycleController ctl{api};
+  sim.run_until(5.5);  // the t=5 sweep finds every lease 5 s old
+  EXPECT_EQ(seen, (std::vector<std::string>{"node1:not-ready",
+                                            "node10:not-ready",
+                                            "node9:not-ready"}));
+  seen.clear();
+  sim.call_at(6.25, [this] {
+    for (const char* n : {"node9", "node10", "node1"}) api.renew_node_lease(n);
+  });
+  sim.run_until(7.5);  // the t=7 sweep finds every lease fresh again
+  EXPECT_EQ(seen, (std::vector<std::string>{"node1:ready", "node10:ready",
+                                            "node9:ready"}));
+  EXPECT_EQ(ctl.not_ready_transitions(), 3u);
+}
+
+TEST_F(NodeLifecycleTest, LeaseAgedExactlyTheDurationIsNotExpired) {
+  register_node("n");
+  NodeLifecycleController ctl{api};
+  sim.run_until(4.5);  // t=4 sweep: now - lease == duration
+  EXPECT_EQ(ctl.not_ready_transitions(), 0u);
+  EXPECT_TRUE(ready("n"));
+  sim.run_until(5.5);  // t=5 sweep: now - lease > duration
+  EXPECT_EQ(ctl.not_ready_transitions(), 1u);
+  EXPECT_FALSE(ready("n"));
+}
+
+TEST_F(NodeLifecycleTest, ExpiringNodeIsNotAlsoRecoveredInTheSameSweep) {
+  register_node("a");
+  register_node("b");
+  for (int t = 1; t <= 10; ++t) {
+    sim.call_at(t, [this] { api.renew_node_lease("a"); });
+  }
+  sim.call_at(4.5, [this] { api.set_node_ready("a", false); });
+  NodeLifecycleController ctl{api};
+  sim.run_until(5.5);
+  // The t=5 sweep expires b and recovers a: expiries apply first, and b
+  // flips exactly once.
+  EXPECT_EQ(seen, (std::vector<std::string>{"a:not-ready", "b:not-ready",
+                                            "a:ready"}));
+  EXPECT_FALSE(ready("b"));
+  sim.run_until(9.5);  // b stays stale: no further flips either way
+  EXPECT_EQ(seen.size(), 3u);
+  EXPECT_EQ(ctl.not_ready_transitions(), 1u);
+}
+
+TEST_F(NodeLifecycleTest, NodeSetNotReadyWithAFreshLeaseRecoversAtNextSweep) {
+  register_node("n");
+  for (int t = 1; t <= 10; ++t) {
+    sim.call_at(t, [this] { api.renew_node_lease("n"); });
+  }
+  NodeLifecycleController ctl{api};
+  sim.call_at(2.5, [this] { api.set_node_ready("n", false); });
+  sim.run_until(2.75);
+  EXPECT_FALSE(ready("n"));
+  sim.run_until(3.5);
+  EXPECT_TRUE(ready("n"));
+  EXPECT_EQ(seen, (std::vector<std::string>{"n:not-ready", "n:ready"}));
+  EXPECT_EQ(ctl.not_ready_transitions(), 0u);
+}
+
+TEST_F(NodeLifecycleTest, ReRegisteringANodeRefreshesItsLease) {
+  register_node("n");
+  NodeLifecycleController ctl{api};
+  sim.run_until(3.5);
+  EXPECT_DOUBLE_EQ(api.node_lease("n"), 0.0);
+  register_node("n");
+  EXPECT_DOUBLE_EQ(api.node_lease("n"), 3.5);
+  sim.run_until(7.5);  // t=7 sweep: 3.5 s old
+  EXPECT_EQ(ctl.not_ready_transitions(), 0u);
+  sim.run_until(8.5);  // t=8 sweep: 4.5 s old
+  EXPECT_EQ(ctl.not_ready_transitions(), 1u);
+  EXPECT_FALSE(ready("n"));
+  // Re-registering a NotReady node makes it Ready with a fresh lease; it
+  // expires again only once that lease is stale.
+  register_node("n");
+  EXPECT_TRUE(ready("n"));
+  EXPECT_DOUBLE_EQ(api.node_lease("n"), 8.5);
+  sim.run_until(12.5);
+  EXPECT_EQ(ctl.not_ready_transitions(), 1u);
+  sim.run_until(13.5);
+  EXPECT_EQ(ctl.not_ready_transitions(), 2u);
+}
+
 /// The shared heartbeat wheel must drop dead kubelets instead of polling
 /// them forever, and pick them back up on reboot — lease behaviour over a
 /// crash must match the old per-kubelet timers.
@@ -135,6 +256,44 @@ TEST(HeartbeatWheelTest, DeadNodeLeavesTheWheelAndReturnsOnReboot) {
   cl->node(1).recover();
   sim.run_until(25.0);
   EXPECT_NEAR(kube.api().node_lease(victim), 25.0, 1e-9);
+}
+
+TEST(HeartbeatWheelTest, UnreachableWorkerGoesStaleAndRemovalIsIdempotent) {
+  sim::Simulation sim;
+  auto cl = cluster::make_paper_testbed(sim);
+  container::Registry hub{cl->node(0)};
+  KubeCluster kube{*cl, hub, {&cl->node(1), &cl->node(2), &cl->node(3)}};
+  const std::string a = cl->node(1).name();
+  const std::string cut = cl->node(2).name();
+  const std::string c = cl->node(3).name();
+  auto lease = [&kube](const std::string& n) {
+    return kube.api().node_lease(n);
+  };
+  kube.worker(cut).kubelet->set_connectivity_probe([] { return false; });
+  HeartbeatWheel wheel{kube.api()};
+  const std::uint32_t ma = wheel.add(*kube.worker(a).kubelet);
+  wheel.add(*kube.worker(cut).kubelet);
+  wheel.add(*kube.worker(c).kubelet);
+  wheel.start(1.0);
+
+  sim.run_until(5.5);
+  EXPECT_DOUBLE_EQ(lease(a), 5.0);
+  EXPECT_DOUBLE_EQ(lease(cut), 0.0);  // registration stamp, never renewed
+  EXPECT_DOUBLE_EQ(lease(c), 5.0);
+
+  wheel.remove(ma);
+  wheel.remove(ma);
+  sim.run_until(8.5);
+  EXPECT_DOUBLE_EQ(lease(a), 5.0);
+  EXPECT_DOUBLE_EQ(lease(c), 8.0);
+
+  wheel.restore(ma);
+  for (int t = 9; t <= 14; ++t) {
+    sim.run_until(t + 0.5);
+    EXPECT_DOUBLE_EQ(lease(a), t);
+    EXPECT_DOUBLE_EQ(lease(c), t);
+    EXPECT_DOUBLE_EQ(lease(cut), 0.0);
+  }
 }
 
 }  // namespace
