@@ -7,6 +7,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,7 @@
 #include "knative/kpa.hpp"
 #include "metrics/stream_stats.hpp"
 #include "net/flow_network.hpp"
+#include "pegasus/planner.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/ps_resource.hpp"
 #include "sim/simulation.hpp"
@@ -243,6 +245,55 @@ void BM_CondorNegotiate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * jobs);
 }
 BENCHMARK(BM_CondorNegotiate)->Arg(64)->Arg(256);
+
+// Condor matching under an idle burst: `jobs` idle jobs, alternating a
+// one-core and a two-core shape, land on 8 workers whose cores are all
+// held by 32 warm (claimed, idle) two-core claims; then one negotiation
+// cycle and the dispatch pump run. Each submit's unmatched-idle poll, the
+// negotiator's claim-reuse pass and every pump walk the idle queue
+// against the claims. Building the warm pool is not timed.
+void BM_CondorMatchIdle(benchmark::State& state) {
+  const int jobs = static_cast<int>(state.range(0));
+  struct WarmPool {
+    sim::Simulation sim;
+    std::unique_ptr<cluster::Cluster> cl =
+        cluster::make_uniform_cluster(sim, 9, cluster::NodeSpec{});
+    std::unique_ptr<condor::CondorPool> pool;
+  };
+  auto make_job = [](double cpus, double memory) {
+    condor::JobSpec spec;
+    spec.name = "j";
+    spec.request_cpus = cpus;
+    spec.request_memory = memory;
+    spec.executable = [](condor::ExecContext&,
+                         std::function<void(bool)> fin) { fin(true); };
+    return spec;
+  };
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto warm = std::make_unique<WarmPool>();
+    std::vector<cluster::Node*> workers;
+    for (std::size_t n = 1; n < warm->cl->size(); ++n) {
+      workers.push_back(&warm->cl->node(n));
+    }
+    warm->pool = std::make_unique<condor::CondorPool>(*warm->cl,
+                                                      warm->cl->node(0),
+                                                      workers);
+    for (int i = 0; i < 32; ++i) warm->pool->submit(make_job(2, 2e9));
+    warm->sim.run_until(60.0);  // all done; the claims stay warm
+    state.ResumeTiming();
+    for (int i = 0; i < jobs; ++i) {
+      warm->pool->submit(i % 2 == 0 ? make_job(1, 1e9) : make_job(2, 2e9));
+    }
+    warm->sim.run_until(71.0);  // one negotiation cycle
+    benchmark::DoNotOptimize(warm->pool->completed_jobs());
+    state.PauseTiming();
+    warm.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() * jobs);
+}
+BENCHMARK(BM_CondorMatchIdle)->Arg(256)->Arg(4096);
 
 // Trace hot path at volume: the 10^5..10^6-events-per-run regime the
 // scale sweep lives in. Each record carries two attributes, one with a
@@ -622,6 +673,32 @@ void BM_CatalogLookupMap(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * n));
 }
 BENCHMARK(BM_CatalogLookupMap)->Arg(256)->Arg(4096);
+
+// Pegasus planning of a layered matmul DAG (`tasks` = 100-wide layers)
+// for a 16-node testbed: the planner's per-plan work, with the workflow,
+// catalogs and pool built once outside the timed loop.
+void BM_PlanLayered(benchmark::State& state) {
+  const int tasks = static_cast<int>(state.range(0));
+  sim::Simulation sim;
+  auto cl = cluster::make_uniform_cluster(sim, 16, cluster::NodeSpec{});
+  std::vector<cluster::Node*> workers;
+  for (std::size_t n = 1; n < cl->size(); ++n) workers.push_back(&cl->node(n));
+  condor::CondorPool pool(*cl, cl->node(0), workers);
+  pegasus::TransformationCatalog transformations;
+  pegasus::Transformation matmul;
+  matmul.name = "matmul";
+  transformations.add(matmul);
+  storage::ReplicaCatalog replicas;
+  const auto wf =
+      workload::make_layered_matmuls("plan", tasks / 100, 100, 490000);
+  for (auto _ : state) {
+    pegasus::Planner planner(wf, transformations, replicas, pool, {});
+    const pegasus::Plan plan = planner.plan();
+    benchmark::DoNotOptimize(plan.nodes.data());
+  }
+  state.SetItemsProcessed(state.iterations() * tasks);
+}
+BENCHMARK(BM_PlanLayered)->Arg(1000)->Arg(10000);
 
 void BM_MatmulKernelReal(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

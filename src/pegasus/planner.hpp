@@ -126,8 +126,12 @@ class Planner {
       const std::vector<std::string>& lfns) const;
   [[nodiscard]] condor::JobExecutable make_container(
       const AbstractJob& job, const Transformation& t) const;
-  void add_stage_in(Plan& plan) const;
-  void add_stage_out(Plan& plan) const;
+  /// Appends the stage-in job fetching `initial` (the workflow's initial
+  /// inputs); none when empty.
+  void add_stage_in(Plan& plan, const std::vector<std::string>& initial) const;
+  /// Appends the stage-out job registering `finals` (the workflow's final
+  /// outputs); none when empty.
+  void add_stage_out(Plan& plan, const std::vector<std::string>& finals) const;
 
   const AbstractWorkflow& workflow_;
   const TransformationCatalog& transformations_;

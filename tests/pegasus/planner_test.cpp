@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <string_view>
+
 #include "container/image.hpp"
+#include "fault/splitmix.hpp"
 #include "pegasus/statistics.hpp"
 #include "sim/simulation.hpp"
 
@@ -295,6 +301,217 @@ TEST_F(PlannerTest, JobModeNames) {
   EXPECT_STREQ(to_string(JobMode::kNative), "native");
   EXPECT_STREQ(to_string(JobMode::kContainer), "container");
   EXPECT_STREQ(to_string(JobMode::kServerless), "serverless");
+}
+
+// ---- Pinned plans -----------------------------------------------------------
+
+/// Planning-only fixture: three transformations of different memory sizes
+/// and a stand-in serverless factory, so plans vary in request_memory and
+/// in where a mode switch breaks a chain. Nothing here runs a plan.
+class PlannerEquivalence : public ::testing::Test {
+ protected:
+  sim::Simulation sim;
+  std::unique_ptr<cluster::Cluster> cl = cluster::make_paper_testbed(sim);
+  condor::CondorPool pool{*cl, cl->node(0),
+                          {&cl->node(1), &cl->node(2), &cl->node(3)}};
+  TransformationCatalog tc;
+  storage::ReplicaCatalog rc;
+
+  void SetUp() override {
+    const double memory[] = {256e6, 1e9, 2e9};
+    for (int i = 0; i < 3; ++i) {
+      Transformation t;
+      t.name = "tf";
+      t.name += std::to_string(i);
+      t.memory_bytes = memory[i];
+      tc.add(t);
+    }
+  }
+
+  PlannerOptions options(int cluster_size,
+                         std::map<std::string, JobMode> overrides = {}) {
+    PlannerOptions opts;
+    opts.cluster_size = cluster_size;
+    opts.mode_overrides = std::move(overrides);
+    opts.serverless_factory = [](const AbstractJob&, const Transformation&,
+                                 std::vector<storage::FileRef>,
+                                 std::vector<storage::FileRef>) {
+      return [](condor::ExecContext&, std::function<void(bool)> done) {
+        done(true);
+      };
+    };
+    return opts;
+  }
+
+  /// 3-62 jobs. Each reads one to three files: usually the latest output
+  /// (chains), otherwise a random earlier output (multi-reader files) or
+  /// an initial input; each writes one or two. One job in five runs
+  /// serverless.
+  AbstractWorkflow random_workflow(std::uint64_t seed,
+                                   std::map<std::string, JobMode>& modes) {
+    fault::SplitMix64 rng(fault::SplitMix64::mix(seed, 0x9E6A));
+    std::string name = "wf";
+    name += std::to_string(seed);
+    AbstractWorkflow wf(name);
+    auto bytes = [&rng] {
+      return 1e3 * static_cast<double>(1 + rng.next_below(1000));
+    };
+    std::vector<std::string> initial;
+    const std::size_t n_initial = 1 + rng.next_below(4);
+    for (std::size_t i = 0; i < n_initial; ++i) {
+      initial.push_back(name + ".in" + std::to_string(i));
+      wf.declare_file(initial.back(), bytes());
+    }
+    std::vector<std::string> produced;
+    const std::size_t n_jobs = 3 + rng.next_below(60);
+    for (std::size_t j = 0; j < n_jobs; ++j) {
+      AbstractJob job;
+      job.id = name + ".t" + std::to_string(j);
+      job.transformation = "tf" + std::to_string(rng.next_below(3));
+      const std::size_t n_in = 1 + rng.next_below(3);
+      for (std::size_t k = 0; k < n_in; ++k) {
+        const std::uint64_t pick = rng.next_below(10);
+        std::string lfn;
+        if (pick < 5 && !produced.empty()) {
+          lfn = produced.back();
+        } else if (pick < 8 && !produced.empty()) {
+          lfn = produced[rng.next_below(produced.size())];
+        } else {
+          lfn = initial[rng.next_below(initial.size())];
+        }
+        const bool seen = std::any_of(
+            job.uses.begin(), job.uses.end(),
+            [&lfn](const Use& use) { return use.lfn == lfn; });
+        if (!seen) job.uses.push_back({lfn, LinkType::kInput});
+      }
+      const std::size_t n_out = 1 + rng.next_below(2);
+      for (std::size_t k = 0; k < n_out; ++k) {
+        std::string lfn = job.id + ".o" + std::to_string(k);
+        wf.declare_file(lfn, bytes());
+        job.uses.push_back({lfn, LinkType::kOutput});
+        produced.push_back(std::move(lfn));
+      }
+      if (rng.next_below(5) == 0) modes[job.id] = JobMode::kServerless;
+      wf.add_job(std::move(job));
+    }
+    return wf;
+  }
+};
+
+/// Order-sensitive digest of every node's name, parents, sized inputs,
+/// outputs and request_memory, plus the plan's job counts.
+std::uint64_t plan_digest(const Plan& plan) {
+  std::uint64_t h = plan.nodes.size();
+  auto fold = [&h](std::uint64_t v) { h = fault::SplitMix64::mix(h, v); };
+  auto fold_str = [&fold](std::string_view s) {
+    std::uint64_t fnv = 0xcbf29ce484222325ull;
+    for (const char c : s) {
+      fnv = (fnv ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
+    }
+    fold(fnv);
+  };
+  for (const condor::DagNode& node : plan.nodes) {
+    fold_str(node.name);
+    fold(node.parents.size());
+    for (const auto& p : node.parents) fold_str(p);
+    fold(node.job.inputs.size());
+    for (const auto& in : node.job.inputs) {
+      fold_str(in.lfn);
+      fold(std::bit_cast<std::uint64_t>(in.bytes));
+    }
+    fold(node.job.outputs.size());
+    for (const auto& out : node.job.outputs) fold_str(out);
+    fold(std::bit_cast<std::uint64_t>(node.job.request_memory));
+  }
+  fold(plan.stage_in_jobs);
+  fold(plan.compute_jobs);
+  fold(plan.stage_out_jobs);
+  fold(plan.clustered_tasks);
+  return h;
+}
+
+// Plans feed every DAG result: which files a job stages and which jobs it
+// waits on set its timing. 32 random workflows, each planned at cluster
+// sizes 1-4, pin that output byte for byte.
+TEST_F(PlannerEquivalence, PinnedPlansAreUnchanged) {
+  std::uint64_t h = 0;
+  std::size_t nodes = 0;
+  for (std::uint64_t seed = 0; seed < 32; ++seed) {
+    std::map<std::string, JobMode> modes;
+    const AbstractWorkflow wf = random_workflow(seed, modes);
+    for (int k = 1; k <= 4; ++k) {
+      Planner planner(wf, tc, rc, pool, options(k, modes));
+      const Plan plan = planner.plan();
+      nodes += plan.nodes.size();
+      h = fault::SplitMix64::mix(h, plan_digest(plan));
+    }
+  }
+  EXPECT_EQ(nodes, 3554u);
+  EXPECT_EQ(h, 0x7f364b3ae7d23a66ull);
+}
+
+/// The planned node called `name`.
+const condor::DagNode& node_named(const Plan& plan, const std::string& name) {
+  const auto it = std::find_if(
+      plan.nodes.begin(), plan.nodes.end(),
+      [&name](const condor::DagNode& n) { return n.name == name; });
+  EXPECT_NE(it, plan.nodes.end()) << name;
+  return *it;
+}
+
+// a -> b clusters at size 2. a's "mid" is read only by b, inside the
+// cluster, so it never leaves the worker; b's "out" is read by c outside
+// the cluster, and a's "log" by nobody, so both are staged out, and "log"
+// is a final output that the stage-out job waits for.
+TEST_F(PlannerEquivalence, ClusterStagesOutExactlyItsExternalOutputs) {
+  AbstractWorkflow wf("cl");
+  for (const char* lfn : {"in", "mid", "log", "out", "final"}) {
+    wf.declare_file(lfn, 100);
+  }
+  wf.add_job({"a", "tf0", {{"in", LinkType::kInput},
+                           {"mid", LinkType::kOutput},
+                           {"log", LinkType::kOutput}}});
+  wf.add_job({"b", "tf0", {{"mid", LinkType::kInput},
+                           {"out", LinkType::kOutput}}});
+  wf.add_job({"c", "tf0", {{"out", LinkType::kInput},
+                           {"final", LinkType::kOutput}}});
+  Planner planner(wf, tc, rc, pool, options(2));
+  const Plan plan = planner.plan();
+  const condor::DagNode& ab = node_named(plan, "cluster_a_b");
+  EXPECT_EQ(ab.job.outputs, (std::vector<std::string>{"log", "out"}));
+  ASSERT_EQ(ab.job.inputs.size(), 1u);
+  EXPECT_EQ(ab.job.inputs[0].lfn, "in");
+  const condor::DagNode& c = node_named(plan, "c");
+  EXPECT_EQ(c.parents, (std::vector<std::string>{"cluster_a_b"}));
+  const condor::DagNode& out = node_named(plan, "stage_out_cl");
+  EXPECT_EQ(out.parents, (std::vector<std::string>{"c", "cluster_a_b"}));
+}
+
+// A vertical cluster is a chain, so only a job that reads back its own
+// output has a reader of that file inside its group and another outside.
+// The file still leaves the job: one outside reader is enough.
+TEST_F(PlannerEquivalence, OutputReadInsideAndOutsideIsStagedOut) {
+  AbstractWorkflow wf("io");
+  for (const char* lfn : {"in", "scratch", "shared", "res"}) {
+    wf.declare_file(lfn, 100);
+  }
+  wf.add_job({"s", "tf0", {{"in", LinkType::kInput},
+                           {"scratch", LinkType::kOutput},
+                           {"scratch", LinkType::kInput},
+                           {"shared", LinkType::kOutput},
+                           {"shared", LinkType::kInput}}});
+  wf.add_job({"r", "tf0", {{"shared", LinkType::kInput},
+                           {"res", LinkType::kOutput}}});
+  for (int k = 1; k <= 2; ++k) {
+    Planner planner(wf, tc, rc, pool, options(k));
+    const Plan plan = planner.plan();
+    const condor::DagNode& s = node_named(plan, "s");
+    EXPECT_EQ(s.job.outputs, (std::vector<std::string>{"shared"})) << k;
+    EXPECT_EQ(s.parents, (std::vector<std::string>{"stage_in_io"})) << k;
+    EXPECT_EQ(node_named(plan, "stage_out_io").parents,
+              (std::vector<std::string>{"r"}))
+        << k;
+  }
 }
 
 }  // namespace
