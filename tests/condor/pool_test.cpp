@@ -255,6 +255,29 @@ TEST_F(CondorPoolTest, PoolSaturationQueuesOverflow) {
   EXPECT_EQ(completed, 25);
 }
 
+TEST_F(CondorPoolTest, WorkerListedTwiceSharesOneStartdAndFillsTwice) {
+  pool = std::make_unique<CondorPool>(
+      *cl, cl->node(0),
+      std::vector<cluster::Node*>{&cl->node(1), &cl->node(1), &cl->node(2)});
+  ASSERT_EQ(pool->workers().size(), 3u);
+  EXPECT_EQ(pool->workers()[0], pool->workers()[1]);
+  EXPECT_EQ(pool->worker_count(), 2u);
+  // One negotiation cycle carves all four claims in fill order:
+  // node1, node1, node2, node1.
+  std::vector<JobId> ids;
+  for (int i = 0; i < 4; ++i) {
+    ids.push_back(pool->submit(compute_job(i, 1.0)));
+  }
+  sim.run();
+  EXPECT_EQ(pool->completed_jobs(), 4u);
+  std::vector<std::string> placed;
+  for (const JobId id : ids) placed.push_back(pool->job(id)->worker);
+  EXPECT_EQ(placed, (std::vector<std::string>{cl->node(1).name(),
+                                              cl->node(1).name(),
+                                              cl->node(2).name(),
+                                              cl->node(1).name()}));
+}
+
 TEST_F(CondorPoolTest, JobStateNames) {
   EXPECT_STREQ(to_string(JobState::kIdle), "Idle");
   EXPECT_STREQ(to_string(JobState::kRunning), "Running");
