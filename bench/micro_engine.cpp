@@ -541,6 +541,69 @@ void BM_LifecycleSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_LifecycleSweep)->Arg(1024)->Arg(4096)->Arg(10240);
 
+// Node loss: N nodes with 4N running pods, and one node's lease expires per
+// iteration. Timed: the one sweep that finds it and evicts its four pods.
+// Untimed: fresh leases for the others, and putting the previous victim
+// and its pods back, so every iteration evicts from a full cluster.
+void BM_NodeEviction(benchmark::State& state) {
+  const int nodes = static_cast<int>(state.range(0));
+  sim::Simulation sim;
+  k8s::ApiServer api{sim};
+  std::vector<std::string> names;
+  std::vector<std::uint32_t> slots;
+  for (int n = 0; n < nodes; ++n) {
+    k8s::NodeObject node;
+    node.name = "node" + std::to_string(n);
+    node.allocatable_cpu = 64;
+    node.allocatable_memory = 256e9;
+    api.register_node(node);
+    names.push_back(node.name);
+    slots.push_back(api.find_node_slot(node.name));
+  }
+  auto run_pod = [&api](const std::string& pod) {
+    api.mutate_pod(pod, [](k8s::Pod& p) {
+      p.phase = k8s::PodPhase::kRunning;
+      p.ready = true;
+    });
+  };
+  for (int p = 0; p < 4 * nodes; ++p) {
+    k8s::Pod pod;
+    pod.name = "pod-" + std::to_string(p);
+    pod.node_name = names[p % nodes];
+    pod.cpu_request = 1;
+    api.create_pod(std::move(pod));
+    run_pod("pod-" + std::to_string(p));
+  }
+  k8s::NodeLifecycleConfig cfg;
+  cfg.lease_duration_s = 0.75;  // renewed at k + 0.5, swept at k + 1
+  cfg.sweep_interval_s = 1.0;
+  k8s::NodeLifecycleController ctl{api, cfg};
+  sim.run_until(0.5);
+  int victim = 0;
+  int prev = -1;
+  for (auto _ : state) {
+    state.PauseTiming();
+    if (prev >= 0) {
+      api.set_node_ready(names[prev], true);
+      for (int k = 0; k < 4; ++k) {
+        run_pod("pod-" + std::to_string(prev + k * nodes));
+      }
+    }
+    for (int n = 0; n < nodes; ++n) {
+      if (n != victim) api.renew_node_lease_slot(slots[n]);
+    }
+    state.ResumeTiming();
+    sim.run_until(sim.now() + 1.0);
+    prev = victim;
+    victim = (victim + 1) % nodes;
+  }
+  if (ctl.evictions() != 4 * static_cast<std::uint64_t>(
+                               state.iterations())) {
+    state.SkipWithError("each sweep must evict exactly one node's pods");
+  }
+}
+BENCHMARK(BM_NodeEviction)->Arg(1024)->Arg(10240);
+
 // Deployment reconcile against a large pod store: 64 deployments own
 // `pods` pods total; each iteration touches one deployment's replica
 // count twice, triggering two no-op reconciles. The full-store scan pays

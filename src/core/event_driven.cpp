@@ -130,10 +130,12 @@ void EventDrivenRunner::run(
 
   std::vector<std::string> roots;
   for (const auto& job : workflow.jobs()) {
-    TaskState state;
-    state.unfinished_parents = workflow.parents_of(job.id).size();
-    if (state.unfinished_parents == 0) roots.push_back(job.id);
-    run_.tasks.emplace(job.id, state);
+    const std::vector<std::string> parents = workflow.parents_of(job.id);
+    run_.tasks[job.id].unfinished_parents = parents.size();
+    if (parents.empty()) roots.push_back(job.id);
+    for (const auto& parent : parents) {
+      run_.tasks[parent].children.push_back(job.id);
+    }
   }
   const net::NodeId submit = broker_.ingress_net_id();
   for (const auto& root : roots) launch_task(root, submit);
@@ -181,20 +183,11 @@ void EventDrivenRunner::on_task_done(const std::string& job_id, bool ok,
   if (!ok) run_.failed = true;
 
   if (ok) {
-    // Release children whose parents are all complete.
-    for (const auto& job : run_.workflow->jobs()) {
-      const auto parents = run_.workflow->parents_of(job.id);
-      bool is_child = false;
-      for (const auto& parent : parents) {
-        if (parent == job_id) {
-          is_child = true;
-          break;
-        }
-      }
-      if (!is_child) continue;
-      TaskState& child = run_.tasks.at(job.id);
+    // Release children whose parents are all complete, in job order.
+    for (const auto& child_id : it->second.children) {
+      TaskState& child = run_.tasks.at(child_id);
       if (--child.unfinished_parents == 0 && !run_.failed) {
-        launch_task(job.id, orchestrator_node);
+        launch_task(child_id, orchestrator_node);
       }
     }
   }

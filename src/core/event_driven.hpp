@@ -4,6 +4,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "core/calibration.hpp"
 #include "core/integration.hpp"
@@ -58,6 +59,7 @@ class EventDrivenRunner {
  private:
   struct TaskState {
     std::size_t unfinished_parents = 0;
+    std::vector<std::string> children;  ///< in workflow job order
     bool launched = false;
     bool done = false;
   };

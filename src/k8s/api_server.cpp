@@ -7,23 +7,34 @@
 
 namespace sf::k8s {
 
+// Defined ahead of its callers below; the watch-delivery contract is at the
+// end of this file, beside notify_pod.
+template <typename T>
+void ApiServer::notify(
+    const std::deque<std::function<void(EventType, const T&)>>& watches,
+    EventType type, const T& obj) {
+  if (watches.empty()) return;
+  ++watch_batches_scheduled_;
+  sim_.call_in(api_latency_, [this, &watches, type, obj, n = watches.size()] {
+    ++watch_batches_delivered_;
+    for (std::size_t i = 0; i < n; ++i) watches[i](type, obj);
+  });
+}
+
 // ---- Node slots ---------------------------------------------------------
 
 std::uint32_t ApiServer::node_slot(const std::string& name) {
-  auto [it, inserted] = node_slot_ids_.try_emplace(name, 0);
-  if (!inserted) return it->second;
-  const std::uint32_t slot = static_cast<std::uint32_t>(node_slots_.size());
-  it->second = slot;
-  node_slots_.emplace_back();
-  node_slots_.back().name = name;
-  node_lease_.push_back(0.0);
-  node_flags_.push_back(0);
+  const std::uint32_t slot = node_ids_.intern(name) - 1u;
+  if (slot == node_slots_.size()) {  // first sight: ids are dense
+    node_slots_.emplace_back();
+    node_lease_.push_back(0.0);
+    node_flags_.push_back(0);
+  }
   return slot;
 }
 
 std::uint32_t ApiServer::find_node_slot(const std::string& name) const {
-  const auto it = node_slot_ids_.find(name);
-  return it == node_slot_ids_.end() ? kNoSlot : it->second;
+  return node_ids_.lookup(name) - 1u;
 }
 
 void ApiServer::register_node(NodeObject node) {
@@ -31,9 +42,9 @@ void ApiServer::register_node(NodeObject node) {
   NodeSlot& ns = node_slots_[slot];
   if (!ns.obj.has_value()) {
     const auto pos = std::lower_bound(
-        node_order_.begin(), node_order_.end(), ns.name,
-        [this](std::uint32_t s, const std::string& name) {
-          return node_slots_[s].name < name;
+        node_order_.begin(), node_order_.end(), std::string_view{node.name},
+        [this](std::uint32_t s, std::string_view name) {
+          return node_ids_.name(s + 1) < name;
         });
     node_order_.insert(pos, slot);
   }
@@ -53,7 +64,7 @@ bool ApiServer::set_node_ready(const std::string& name, bool ready) {
       kNodeRegistered | (ready ? kNodeReady : 0));
   sim_.trace().record(sim_.now(), "api", ready ? "node_ready" : "node_not_ready",
                       {{"node", name}});
-  notify_node(EventType::kModified, *ns.obj);
+  notify(node_watches_, EventType::kModified, *ns.obj);
   return true;
 }
 
@@ -74,9 +85,9 @@ std::size_t ApiServer::collect_lease_transitions(
   for (const std::uint32_t slot : node_order_) {
     const double age = now - node_lease_[slot];
     if ((node_flags_[slot] & kNodeReady) != 0) {
-      if (age > duration) expired.push_back(node_slots_[slot].name);
+      if (age > duration) expired.emplace_back(node_ids_.name(slot + 1));
     } else if (age <= duration) {
-      recovered.push_back(node_slots_[slot].name);
+      recovered.emplace_back(node_ids_.name(slot + 1));
     }
   }
   return node_order_.size();
@@ -87,43 +98,20 @@ std::size_t ApiServer::collect_lease_transitions(
 void ApiServer::ensure_pod_side(std::uint32_t pod_slot) {
   if (pod_slot >= pod_node_slot_.size()) {
     pod_node_slot_.resize(pod_slot + 1, kNoSlot);
-    pod_node_pos_.resize(pod_slot + 1, 0);
     pod_owner_slot_.resize(pod_slot + 1, kNoSlot);
     pod_owner_pos_.resize(pod_slot + 1, 0);
     pod_ready_in_.resize(pod_slot + 1);
   }
 }
 
-void ApiServer::link_pod_node(std::uint32_t pod_slot,
-                              std::uint32_t node_slot) {
-  pod_node_slot_[pod_slot] = node_slot;
-  if (node_slot == kNoSlot) return;
-  std::vector<std::uint32_t>& list = node_slots_[node_slot].pods;
-  pod_node_pos_[pod_slot] = static_cast<std::uint32_t>(list.size());
-  list.push_back(pod_slot);
-}
-
-void ApiServer::unlink_pod_node(std::uint32_t pod_slot) {
-  const std::uint32_t ns = pod_node_slot_[pod_slot];
-  if (ns == kNoSlot) return;
-  std::vector<std::uint32_t>& list = node_slots_[ns].pods;
-  const std::uint32_t pos = pod_node_pos_[pod_slot];
-  const std::uint32_t moved = list.back();
-  list[pos] = moved;
-  pod_node_pos_[moved] = pos;
-  list.pop_back();
-  pod_node_slot_[pod_slot] = kNoSlot;
-}
-
 void ApiServer::link_pod_owner(std::uint32_t pod_slot,
                                const std::string& owner) {
-  auto [it, inserted] = owner_slot_ids_.try_emplace(owner, 0);
-  if (inserted) {
-    it->second = static_cast<std::uint32_t>(pods_by_owner_.size());
-    pods_by_owner_.emplace_back();
-  }
-  pod_owner_slot_[pod_slot] = it->second;
-  std::vector<std::uint32_t>& list = pods_by_owner_[it->second];
+  // An ownerless pod ("" is id 0) gets kNoSlot and joins no list.
+  const std::uint32_t os = owner_ids_.intern(owner) - 1u;
+  pod_owner_slot_[pod_slot] = os;
+  if (os == kNoSlot) return;
+  if (os == pods_by_owner_.size()) pods_by_owner_.emplace_back();
+  std::vector<std::uint32_t>& list = pods_by_owner_[os];
   pod_owner_pos_[pod_slot] = static_cast<std::uint32_t>(list.size());
   list.push_back(pod_slot);
 }
@@ -154,14 +142,8 @@ Uid ApiServer::create_pod(Pod pod) {
   ++pods_created_total_;
   assert(pods_created_total_ - pods_finalized_total_ == pods_.size());
   ensure_pod_side(pslot);
-  link_pod_node(pslot, stored->node_name.empty()
-                           ? kNoSlot
-                           : node_slot(stored->node_name));
-  if (stored->owner.empty()) {
-    pod_owner_slot_[pslot] = kNoSlot;
-  } else {
-    link_pod_owner(pslot, stored->owner);
-  }
+  pod_node_slot_[pslot] = node_slot(stored->node_name);  // "": kNoSlot
+  link_pod_owner(pslot, stored->owner);
   if (usage_counted(*stored)) {
     add_usage(pod_node_slot_[pslot], *stored);
   }
@@ -180,20 +162,17 @@ bool ApiServer::mutate_pod(const std::string& name,
   const double old_cpu = pod->cpu_request;
   const double old_mem = pod->memory_request;
   mutate(*pod);
-  // Re-link on (re)bind. In practice node_name only ever transitions
+  // Re-resolve on (re)bind. In practice node_name only ever transitions
   // empty -> bound (the scheduler binds Pending pods once), so the common
   // mutate pays one short string compare, no hash.
   std::uint32_t new_node = old_node;
   if (pod->node_name.empty()) {
     new_node = kNoSlot;
   } else if (old_node == kNoSlot ||
-             node_slots_[old_node].name != pod->node_name) {
+             node_ids_.name(old_node + 1) != pod->node_name) {
     new_node = node_slot(pod->node_name);
   }
-  if (new_node != old_node) {
-    unlink_pod_node(pslot);
-    link_pod_node(pslot, new_node);
-  }
+  pod_node_slot_[pslot] = new_node;
   const bool now = usage_counted(*pod);
   // Touch the aggregate only when the accounted quantities actually moved
   // (a bind, a failure, a request resize) — phase-only transitions like
@@ -274,7 +253,8 @@ void ApiServer::finalize_pod_deletion(const std::string& name) {
   const std::uint32_t pslot = pods_.slot_of(name);
   if (pslot == kNoSlot) return;
   const std::uint32_t nslot = pod_node_slot_[pslot];
-  unlink_pod_node(pslot);
+  // NamedStore recycles the slot: a freed slot must never match a node.
+  pod_node_slot_[pslot] = kNoSlot;
   unlink_pod_owner(pslot);
   leave_ready_sets(pslot, name);
   std::optional<Pod> removed = pods_.take(name);
@@ -294,12 +274,12 @@ Uid ApiServer::apply_deployment(Deployment dep) {
   if (existing == nullptr) {
     dep.uid = next_uid_++;
     const auto res = deployments_.insert(name, std::move(dep));
-    notify_deployment(EventType::kAdded, *res.obj);
+    notify(deployment_watches_, EventType::kAdded, *res.obj);
     return res.obj->uid;
   }
   dep.uid = existing->uid;
   *existing = std::move(dep);
-  notify_deployment(EventType::kModified, *existing);
+  notify(deployment_watches_, EventType::kModified, *existing);
   return existing->uid;
 }
 
@@ -309,7 +289,7 @@ bool ApiServer::set_deployment_replicas(const std::string& name,
   if (dep == nullptr) return false;
   if (dep->replicas == replicas) return true;
   dep->replicas = replicas;
-  notify_deployment(EventType::kModified, *dep);
+  notify(deployment_watches_, EventType::kModified, *dep);
   return true;
 }
 
@@ -320,7 +300,7 @@ const Deployment* ApiServer::get_deployment(const std::string& name) const {
 void ApiServer::delete_deployment(const std::string& name) {
   std::optional<Deployment> removed = deployments_.take(name);
   if (!removed.has_value()) return;
-  notify_deployment(EventType::kDeleted, *removed);
+  notify(deployment_watches_, EventType::kDeleted, *removed);
 }
 
 // ---- Services & endpoints ----------------------------------------------
@@ -364,12 +344,8 @@ void ApiServer::delete_service(const std::string& name) {
   }
   std::optional<Endpoints> removed = endpoints_.take(name);
   if (removed.has_value()) {
-    notify_endpoints(EventType::kDeleted, *removed);
+    notify(endpoints_watches_, EventType::kDeleted, *removed);
   }
-}
-
-const Service* ApiServer::get_service(const std::string& name) const {
-  return services_.find(name);
 }
 
 void ApiServer::set_endpoints(Endpoints eps) {
@@ -383,11 +359,11 @@ void ApiServer::set_endpoints(Endpoints eps) {
       existing != nullptr ? EventType::kModified : EventType::kAdded;
   if (existing != nullptr) {
     *existing = std::move(eps);
-    notify_endpoints(type, *existing);
+    notify(endpoints_watches_, type, *existing);
   } else {
     const std::string name = eps.service_name;
     const auto res = endpoints_.insert(name, std::move(eps));
-    notify_endpoints(type, *res.obj);
+    notify(endpoints_watches_, type, *res.obj);
   }
 }
 
@@ -413,7 +389,7 @@ void ApiServer::publish_ready_endpoints(const std::string& service_name) {
   assert(published != nullptr);
   if (published->ready == rs.ready) return;
   published->ready = rs.ready;
-  notify_endpoints(EventType::kModified, *published);
+  notify(endpoints_watches_, EventType::kModified, *published);
 }
 
 // ---- Ready sets ----------------------------------------------------------
@@ -503,67 +479,23 @@ void ApiServer::deliver_pod_event(EventType type, const Pod& pod,
                                   std::size_t n_node) {
   // Counts were snapped at schedule time: watchers registered after the
   // notification do not see the event (the same contract the flat list
-  // had). Single-list deliveries take the flat loop; only events that
-  // genuinely touch both a node shard and the global list pay the merge,
-  // which fires watchers in exactly the order a single flat list would
-  // have fired them.
-  if (n_node == 0) {
-    for (std::size_t i = 0; i < n_global; ++i) pod_watches_[i].fn(type, pod);
-    return;
-  }
-  const std::deque<SeqPodWatch>& shard = node_slots_[node_slot].watches;
-  if (n_global == 0) {
-    for (std::size_t i = 0; i < n_node; ++i) shard[i].fn(type, pod);
-    return;
-  }
+  // had). The merge fires the global list and the node shard in exactly
+  // the order a single flat list would have fired them; it never reads
+  // an empty side, so an unbound pod needs no shard.
+  const std::deque<SeqPodWatch>* shard =
+      n_node == 0 ? nullptr : &node_slots_[node_slot].watches;
   std::size_t gi = 0;
   std::size_t ni = 0;
   while (gi < n_global || ni < n_node) {
     const bool global_next =
         ni >= n_node ||
-        (gi < n_global && pod_watches_[gi].seq < shard[ni].seq);
+        (gi < n_global && pod_watches_[gi].seq < (*shard)[ni].seq);
     if (global_next) {
       pod_watches_[gi++].fn(type, pod);
     } else {
-      shard[ni++].fn(type, pod);
+      (*shard)[ni++].fn(type, pod);
     }
   }
-}
-
-void ApiServer::notify_deployment(EventType type, const Deployment& dep) {
-  if (deployment_watches_.empty()) return;
-  ++watch_batches_scheduled_;
-  sim_.call_in(api_latency_,
-               [this, type, dep, n = deployment_watches_.size()] {
-                 ++watch_batches_delivered_;
-                 for (std::size_t i = 0; i < n; ++i) {
-                   deployment_watches_[i](type, dep);
-                 }
-               });
-}
-
-void ApiServer::notify_endpoints(EventType type, const Endpoints& eps) {
-  if (endpoints_watches_.empty()) return;
-  ++watch_batches_scheduled_;
-  sim_.call_in(api_latency_,
-               [this, type, eps, n = endpoints_watches_.size()] {
-                 ++watch_batches_delivered_;
-                 for (std::size_t i = 0; i < n; ++i) {
-                   endpoints_watches_[i](type, eps);
-                 }
-               });
-}
-
-void ApiServer::notify_node(EventType type, const NodeObject& node) {
-  if (node_watches_.empty()) return;
-  ++watch_batches_scheduled_;
-  sim_.call_in(api_latency_,
-               [this, type, node, n = node_watches_.size()] {
-                 ++watch_batches_delivered_;
-                 for (std::size_t i = 0; i < n; ++i) {
-                   node_watches_[i](type, node);
-                 }
-               });
 }
 
 }  // namespace sf::k8s

@@ -5,11 +5,11 @@
 #include <functional>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "k8s/named_store.hpp"
 #include "k8s/objects.hpp"
+#include "sim/interner.hpp"
 #include "sim/simulation.hpp"
 
 namespace sf::k8s {
@@ -30,13 +30,14 @@ enum class EventType { kAdded, kModified, kDeleted };
 /// + one object copy per watcher.
 ///
 /// Node-indexed state lives in a dense node-slot space: each node name
-/// (registered or merely referenced by a watch/bind) gets a stable
-/// uint32_t slot holding its lease, usage aggregate, node-scoped watch
-/// shard, and the posting list of pod slots bound to it. Pod events carry
-/// their node slot through side arrays, so the per-event path never hashes
-/// a node name. Registered node slots are also kept in name order, so a
-/// full node scan (the scheduler's, the lifecycle sweep's) reads every
-/// node by slot in the order a name-keyed map would iterate.
+/// (registered or merely referenced by a watch/bind) is interned once
+/// (sim::Interner, slot = id - 1) and its slot holds its lease, usage
+/// aggregate and node-scoped watch shard. Each pod's node slot sits in a
+/// side array indexed by pod slot, so the per-event path never hashes a
+/// node name, and the pods on a node are the pod slots whose entry names
+/// it. Registered node slots are also kept in name order, so a full node
+/// scan (the scheduler's, the lifecycle sweep's) reads every node by slot
+/// in the order a name-keyed map would iterate.
 ///
 /// Each Service also has a live ready set — the endpoints a full rebuild
 /// from the pod store would list — maintained beside the usage aggregates
@@ -111,6 +112,7 @@ class ApiServer {
 
   /// Dense slot for a node name, created on first reference (a name may be
   /// watched or bound before — or without ever — registering as a node).
+  /// Node names are never empty: "" has no slot (kNoSlot).
   [[nodiscard]] std::uint32_t node_slot(const std::string& name);
   /// Slot lookup without creation; kNoSlot when the name was never seen.
   [[nodiscard]] std::uint32_t find_node_slot(const std::string& name) const;
@@ -158,28 +160,30 @@ class ApiServer {
     });
   }
 
-  /// Visits only the pods bound to `node`, via the per-node posting list —
-  /// O(pods on that node), not O(all pods). Visitation order is
-  /// deterministic but unspecified (bind/finalize history); callers sort
-  /// what they collect when order is observable. The callback must not
-  /// create or delete pods.
+  /// Visits only the pods bound to `node`: one pass over the pod→node side
+  /// array, comparing slots, with no name hash or object read for the
+  /// other pods. Visitation order is pod-slot order, which depends on slot
+  /// reuse; callers sort what they collect when order is observable. The
+  /// callback must not create or delete pods.
   template <typename F>
   void for_each_pod_on_node(const std::string& node, F&& fn) const {
     const std::uint32_t ns = find_node_slot(node);
     if (ns == kNoSlot) return;
-    for (const std::uint32_t pslot : node_slots_[ns].pods) {
-      fn(pods_.at(pslot));
+    for (std::uint32_t pslot = 0; pslot < pod_node_slot_.size(); ++pslot) {
+      if (pod_node_slot_[pslot] == ns) fn(pods_.at(pslot));
     }
   }
 
   /// Visits only the pods whose `owner` field matches — the deployment
-  /// controller's working set. Same ordering/mutation contract as
+  /// controller's working set, via the per-owner posting list: O(owned),
+  /// not O(all pods). Visitation order is deterministic but unspecified
+  /// (create/finalize history). Same mutation contract as
   /// for_each_pod_on_node.
   template <typename F>
   void for_each_pod_owned_by(const std::string& owner, F&& fn) const {
-    const auto it = owner_slot_ids_.find(owner);
-    if (it == owner_slot_ids_.end()) return;
-    for (const std::uint32_t pslot : pods_by_owner_[it->second]) {
+    const std::uint32_t os = owner_ids_.lookup(owner) - 1u;
+    if (os == kNoSlot) return;
+    for (const std::uint32_t pslot : pods_by_owner_[os]) {
       fn(pods_.at(pslot));
     }
   }
@@ -230,7 +234,6 @@ class ApiServer {
   Uid create_service(Service svc);
   /// Removes a service and its endpoints object (no-op when absent).
   void delete_service(const std::string& name);
-  [[nodiscard]] const Service* get_service(const std::string& name) const;
 
   /// Visits every service in name order without copying.
   template <typename F>
@@ -287,13 +290,11 @@ class ApiServer {
   /// so a slot held by the heartbeat wheel, a watch shard, or a pod side
   /// array stays valid for the run. Lives in a deque: a watcher
   /// registering a new node shard mid-delivery must not move the shard
-  /// currently being iterated.
+  /// currently being iterated. The name is node_ids_.name(slot + 1).
   struct NodeSlot {
-    std::string name;
     std::optional<NodeObject> obj;  ///< empty until registered
     NodeUsage usage;
     std::deque<SeqPodWatch> watches;   ///< node-scoped pod watch shard
-    std::vector<std::uint32_t> pods;   ///< pod slots bound to this node
   };
 
   /// node_flags_ bits, kept in lockstep with NodeSlot::obj / obj->ready so
@@ -302,12 +303,15 @@ class ApiServer {
   static constexpr std::uint8_t kNodeRegistered = 1;
   static constexpr std::uint8_t kNodeReady = 2;
 
+  /// Schedules one batched delivery of `obj` to the watchers registered
+  /// now (deployment, endpoints and node watches).
+  template <typename T>
+  void notify(
+      const std::deque<std::function<void(EventType, const T&)>>& watches,
+      EventType type, const T& obj);
   void notify_pod(EventType type, const Pod& pod, std::uint32_t node_slot);
   void deliver_pod_event(EventType type, const Pod& pod, std::size_t n_global,
                          std::uint32_t node_slot, std::size_t n_node);
-  void notify_deployment(EventType type, const Deployment& dep);
-  void notify_endpoints(EventType type, const Endpoints& eps);
-  void notify_node(EventType type, const NodeObject& node);
 
   /// Does this pod count toward its node's usage aggregate? (The same
   /// predicate the scheduler's old full rescans applied.)
@@ -332,11 +336,10 @@ class ApiServer {
   /// Removes the pod from every ready set that lists it.
   void leave_ready_sets(std::uint32_t pod_slot, const std::string& pod_name);
 
-  /// Pod-slot side arrays + posting-list maintenance (swap-remove with
-  /// position back-pointers; order is irrelevant — see for_each_pod_on_node).
+  /// Pod-slot side arrays + owner posting-list maintenance (swap-remove
+  /// with position back-pointers; order is irrelevant — see
+  /// for_each_pod_owned_by).
   void ensure_pod_side(std::uint32_t pod_slot);
-  void link_pod_node(std::uint32_t pod_slot, std::uint32_t node_slot);
-  void unlink_pod_node(std::uint32_t pod_slot);
   void link_pod_owner(std::uint32_t pod_slot, const std::string& owner);
   void unlink_pod_owner(std::uint32_t pod_slot);
 
@@ -364,10 +367,11 @@ class ApiServer {
   std::deque<EndpointsWatch> endpoints_watches_;
   std::deque<NodeWatch> node_watches_;
 
-  // Node-slot space. The id map owns nothing; NodeSlot structs live in the
-  // deque at their slot index (stable addresses, see NodeSlot).
+  // Node-slot space: node slot = node_ids_ id - 1, so the "" id 0 and an
+  // unknown name's lookup both map to kNoSlot. NodeSlot structs live in
+  // the deque at their slot index (stable addresses, see NodeSlot).
   std::uint64_t watch_seq_ = 0;
-  std::unordered_map<std::string, std::uint32_t> node_slot_ids_;
+  sim::Interner node_ids_;
   std::deque<NodeSlot> node_slots_;
   /// Slots of registered nodes, sorted by name (see for_each_node).
   std::vector<std::uint32_t> node_order_;
@@ -377,17 +381,18 @@ class ApiServer {
   std::vector<double> node_lease_;
   std::vector<std::uint8_t> node_flags_;
 
-  // Owner-slot space for the per-deployment pod index. Owner slots are
-  // never recycled: a deployment's NamedStore slot can be reused while
-  // orphaned pods still carry the old owner name.
-  std::unordered_map<std::string, std::uint32_t> owner_slot_ids_;
+  // Owner-slot space for the per-deployment pod index, keyed the same way
+  // (owner slot = owner_ids_ id - 1). Owner slots are never recycled: a
+  // deployment's NamedStore slot can be reused while orphaned pods still
+  // carry the old owner name.
+  sim::Interner owner_ids_;
   std::vector<std::vector<std::uint32_t>> pods_by_owner_;
 
-  // Pod side arrays indexed by pod slot: the bound node's slot, this pod's
-  // position in that node's posting list, and the same pair for the owner
-  // index — so per-event paths never hash a node or owner name.
+  // Pod side arrays indexed by pod slot: the bound node's slot (kNoSlot
+  // while unbound and once the slot is freed), and the owner slot plus
+  // this pod's position in that owner's posting list — so per-event paths
+  // never hash a node or owner name.
   std::vector<std::uint32_t> pod_node_slot_;
-  std::vector<std::uint32_t> pod_node_pos_;
   std::vector<std::uint32_t> pod_owner_slot_;
   std::vector<std::uint32_t> pod_owner_pos_;
 

@@ -157,9 +157,10 @@ void NodeLifecycleController::evict_pods(const std::string& node_name) {
     bool terminating;
   };
   std::vector<Victim> victims;
-  // Only this node's pods, via the per-node posting list. Sorted by name
-  // afterwards: eviction order is observable (traces, watch events,
-  // replacement scheduling), and the old full scan evicted in name order.
+  // Only this node's pods, found through the pod→node side array. Sorted
+  // by name afterwards: eviction order is observable (traces, watch
+  // events, replacement scheduling), and the old full scan evicted in
+  // name order.
   api_.for_each_pod_on_node(node_name, [&](const Pod& pod) {
     ++eviction_probes_;
     if (pod.phase == PodPhase::kScheduled || pod.phase == PodPhase::kRunning) {

@@ -13,18 +13,7 @@ KubeCluster::KubeCluster(cluster::Cluster& cluster,
       registry_(registry),
       api_(cluster.sim()),
       heartbeat_wheel_(api_),
-      scheduler_(api_,
-                 [this](const std::string& image) -> Scheduler::LocalityProbe {
-                   const std::vector<sim::ObjectId>* layers =
-                       registry_.layer_ids(image);
-                   if (layers == nullptr) return {};
-                   return [this, layers](std::uint32_t slot) {
-                     const container::ImageCache* cache =
-                         slot < node_caches_.size() ? node_caches_[slot]
-                                                    : nullptr;
-                     return cache != nullptr && cache->has_layers(*layers);
-                   };
-                 }),
+      scheduler_(api_, &registry_, &node_caches_),
       deployment_controller_(api_),
       endpoints_controller_(api_) {
   for (cluster::Node* node : workers) {

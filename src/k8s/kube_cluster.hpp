@@ -107,7 +107,7 @@ class KubeCluster {
   HeartbeatWheel heartbeat_wheel_;
   std::map<std::string, WorkerNode> workers_;
   /// Each worker's image cache by API node slot (nullptr for slots that
-  /// are not workers): the scheduler's locality probe reads it per node.
+  /// are not workers): the scheduler's locality score reads it per node.
   std::vector<const container::ImageCache*> node_caches_;
   Scheduler scheduler_;
   DeploymentController deployment_controller_;

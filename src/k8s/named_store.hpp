@@ -54,9 +54,9 @@ class NamedStore {
   [[nodiscard]] bool empty() const { return index_.empty(); }
 
   /// Dense slot id for `name`; kNoSlot when absent. The slot stays stable
-  /// for the object's lifetime, so side tables indexed by slot (per-node
-  /// pod posting lists, usage aggregates) can reference objects without
-  /// re-hashing names on every hot-path touch.
+  /// for the object's lifetime, so side tables indexed by slot (each pod's
+  /// node and owner slots, ready-set memberships) can reference objects
+  /// without re-hashing names on every hot-path touch.
   [[nodiscard]] std::uint32_t slot_of(const std::string& name) const {
     auto it = hash_.find(std::string_view{name});
     return it == hash_.end() ? kNoSlot : it->second;

@@ -1,12 +1,16 @@
 #include "k8s/scheduler.hpp"
 
 #include <limits>
-#include <utility>
+
+#include "container/image_cache.hpp"
+#include "container/registry.hpp"
 
 namespace sf::k8s {
 
-Scheduler::Scheduler(ApiServer& api, ImageLocalityFn image_locality)
-    : api_(api), image_locality_(std::move(image_locality)) {
+Scheduler::Scheduler(
+    ApiServer& api, const container::Registry* registry,
+    const std::vector<const container::ImageCache*>* node_caches)
+    : api_(api), registry_(registry), node_caches_(node_caches) {
   api_.watch_pods([this](EventType type, const Pod& pod) {
     switch (type) {
       case EventType::kAdded:
@@ -38,9 +42,10 @@ void Scheduler::try_schedule(const std::string& pod_name) {
   // aggregates, maintained O(changed) with the pod store. The request
   // values in play are exactly representable, so the incrementally kept
   // sums equal a rescan's sums bit for bit and scores are unchanged.
-  const LocalityProbe cached =
-      image_locality_ ? image_locality_(pod->container.image)
-                      : LocalityProbe{};
+  // nullptr when locality is off or no node can hold the image.
+  const std::vector<sim::ObjectId>* layers =
+      registry_ == nullptr ? nullptr
+                           : registry_->layer_ids(pod->container.image);
   const NodeObject* best = nullptr;
   double best_score = -std::numeric_limits<double>::infinity();
   api_.for_each_node([&](std::uint32_t slot, const NodeObject& node,
@@ -52,7 +57,12 @@ void Scheduler::try_schedule(const std::string& pod_name) {
     }
     // Score: least-requested CPU fraction, plus image-locality bonus.
     double score = 1.0 - (used.cpu + pod->cpu_request) / node.allocatable_cpu;
-    if (cached && cached(slot)) score += kLocalityWeight;
+    if (layers != nullptr && slot < node_caches_->size()) {
+      const container::ImageCache* cache = (*node_caches_)[slot];
+      if (cache != nullptr && cache->has_layers(*layers)) {
+        score += kLocalityWeight;
+      }
+    }
     if (score > best_score) {  // strict: ties keep the smaller name
       best_score = score;
       best = &node;
@@ -83,9 +93,12 @@ void Scheduler::try_schedule(const std::string& pod_name) {
 }
 
 void Scheduler::retry_pending() {
-  // Copy: try_schedule mutates the set.
-  const std::set<std::string> pending = unschedulable_;
-  for (const auto& name : pending) try_schedule(name);
+  // try_schedule only ever erases the name it is given, so step past it
+  // first and hand it a copy of that one name.
+  for (auto it = unschedulable_.begin(); it != unschedulable_.end();) {
+    const std::string name = *it++;
+    try_schedule(name);
+  }
   if (!unschedulable_.empty() && !retry_scheduled_) {
     retry_scheduled_ = true;
     api_.sim().call_in(1.0, [this] {

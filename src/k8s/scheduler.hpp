@@ -1,11 +1,16 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "k8s/api_server.hpp"
+
+namespace sf::container {
+class ImageCache;
+class Registry;
+}  // namespace sf::container
 
 namespace sf::k8s {
 
@@ -17,20 +22,18 @@ namespace sf::k8s {
 /// A placement is one pass over the registered nodes in name order
 /// (ApiServer::for_each_node), reading each node's object and usage
 /// aggregate by slot. The pod's image is resolved once per placement into
-/// a locality probe the pass calls per node slot, so the per-node work is
-/// a few loads and integer compares: no name hashing, map walk or manifest
-/// copy. Ties on score go to the smallest node name.
+/// its interned layer ids, and each node slot's image cache answers
+/// has_layers for them, so the per-node work is a few loads and integer
+/// compares: no name hashing, map walk or manifest copy. Ties on score go
+/// to the smallest node name.
 class Scheduler {
  public:
-  /// Answers "does node slot `s` cache the image?" for one resolved image.
-  using LocalityProbe = std::function<bool(std::uint32_t node_slot)>;
-  /// Resolves an image name into its LocalityProbe, once per placement;
-  /// returns an empty probe when no node can have it. The hook itself may
-  /// be empty (no locality scoring).
-  using ImageLocalityFn =
-      std::function<LocalityProbe(const std::string& image)>;
-
-  explicit Scheduler(ApiServer& api, ImageLocalityFn image_locality = {});
+  /// `registry` resolves images and `node_caches` holds each node slot's
+  /// image cache (nullptr, or past the end, for a node without one); give
+  /// both or neither. Without them nothing scores locality.
+  explicit Scheduler(
+      ApiServer& api, const container::Registry* registry = nullptr,
+      const std::vector<const container::ImageCache*>* node_caches = nullptr);
 
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
@@ -48,7 +51,8 @@ class Scheduler {
   void retry_pending();
 
   ApiServer& api_;
-  ImageLocalityFn image_locality_;
+  const container::Registry* registry_;
+  const std::vector<const container::ImageCache*>* node_caches_;
   std::set<std::string> unschedulable_;
   bool retry_scheduled_ = false;
   std::uint64_t binds_ = 0;

@@ -12,24 +12,10 @@ void KpaScaler::prune(sim::SimTime t) {
   }
 }
 
-double KpaScaler::window_average(double window_s) const {
-  if (samples_.empty()) return 0;
-  const sim::SimTime cutoff = samples_.back().first - window_s;
-  double sum = 0;
-  int n = 0;
-  for (const auto& [ts, c] : samples_) {
-    if (ts >= cutoff) {
-      sum += c;
-      ++n;
-    }
-  }
-  return n == 0 ? 0 : sum / n;
-}
-
 KpaScaler::WindowAverages KpaScaler::window_averages() const {
   // Both windows in one pass over the sample ring. Each accumulator adds
-  // the same samples in the same front-to-back order as a dedicated scan,
-  // so the averages are bit-identical to calling window_average() twice.
+  // the samples inside its window in front-to-back order, so each average
+  // is bit-identical to a scan of that window alone.
   WindowAverages out;
   if (samples_.empty()) return out;
   const sim::SimTime stable_cutoff =

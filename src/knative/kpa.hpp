@@ -56,7 +56,6 @@ class KpaScaler {
     double panic = 0;
   };
 
-  [[nodiscard]] double window_average(double window_s) const;
   /// Stable and panic averages computed in a single pass over the samples
   /// (observe() needs both every tick; scanning the deque twice doubled
   /// the KPA's per-tick cost).

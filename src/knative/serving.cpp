@@ -82,6 +82,11 @@ int initial_replicas(const Annotations& a) {
                               : std::max(1, a.min_scale);
 }
 
+/// The k8s Deployment that runs a revision's pods.
+std::string deployment_name(const std::string& rev_name) {
+  return rev_name + "-deployment";
+}
+
 }  // namespace
 
 std::string KnativeServing::revision_name(const std::string& service,
@@ -96,7 +101,7 @@ void KnativeServing::deploy_revision(const std::string& service,
                                      const KnServiceSpec& spec,
                                      int replicas) {
   k8s::Deployment dep;
-  dep.name = rev_name + "-deployment";
+  dep.name = deployment_name(rev_name);
   dep.selector = {{kRevisionLabel, rev_name}};
   dep.pod_labels = {{kRevisionLabel, rev_name}};
   dep.pod_template = spec.container;
@@ -122,7 +127,6 @@ void KnativeServing::create_service(KnServiceSpec spec) {
   rev.spec = spec;
   rev.generation = 1;
   rev.rev_name = revision_name(spec.name, 1);
-  rev.deployment_name = rev.rev_name + "-deployment";
   rev.kpa = KpaScaler(kpa_config_from(spec.annotations));
   rev.current_desired = initial_replicas(spec.annotations);
 
@@ -171,7 +175,6 @@ void KnativeServing::start_rollout(KnServiceSpec spec,
                            spec.name);
   }
   rev.pending_rev = revision_name(spec.name, rev.generation + 1);
-  rev.pending_deployment = rev.pending_rev + "-deployment";
   rev.pending_spec = spec;
   rev.canary_fraction = canary_fraction;
   // The new revision warms at least one pod before taking traffic, unless
@@ -188,20 +191,18 @@ void KnativeServing::start_rollout(KnServiceSpec spec,
 
 void KnativeServing::finalize_rollout(Revision& rev) {
   if (rev.pending_rev.empty()) return;
-  const std::string old_deployment = rev.deployment_name;
   const std::string old_rev = rev.rev_name;
   kube_.cluster().sim().trace().record(
       kube_.cluster().sim().now(), "knative", "rollout_switch",
       {{"service", rev.spec.name}, {"revision", rev.pending_rev}});
   rev.rev_name = rev.pending_rev;
-  rev.deployment_name = rev.pending_deployment;
   rev.spec = rev.pending_spec;
   ++rev.generation;
   rev.kpa = KpaScaler(kpa_config_from(rev.spec.annotations));
-  const k8s::Deployment* dep = kube_.api().get_deployment(rev.deployment_name);
+  const k8s::Deployment* dep =
+      kube_.api().get_deployment(deployment_name(rev.rev_name));
   rev.current_desired = dep == nullptr ? 1 : dep->replicas;
   rev.pending_rev.clear();
-  rev.pending_deployment.clear();
   rev.canary_fraction = -1;
   // The new revision gets a fresh detector/bucket: ejection history of
   // the old backend set must not leak across the switch.
@@ -209,7 +210,7 @@ void KnativeServing::finalize_rollout(Revision& rev) {
   // Old revision drains: deleting its deployment terminates the pods,
   // whose pre-stop hooks let in-flight requests finish. Its per-revision
   // k8s service goes with it.
-  kube_.api().delete_deployment(old_deployment);
+  kube_.api().delete_deployment(deployment_name(old_rev));
   kube_.api().delete_service(old_rev);
   flush_activator(rev);
   ensure_ticking(rev.spec.name);
@@ -233,10 +234,10 @@ void KnativeServing::delete_service(const std::string& name) {
   }
   rev.activator.clear();
   retire_proxies(rev);
-  kube_.api().delete_deployment(rev.deployment_name);
+  kube_.api().delete_deployment(deployment_name(rev.rev_name));
   kube_.api().delete_service(rev.rev_name);
-  if (!rev.pending_deployment.empty()) {
-    kube_.api().delete_deployment(rev.pending_deployment);
+  if (!rev.pending_rev.empty()) {
+    kube_.api().delete_deployment(deployment_name(rev.pending_rev));
     kube_.api().delete_service(rev.pending_rev);
     revision_to_service_.erase(rev.pending_rev);
   }
@@ -368,12 +369,11 @@ void KnativeServing::rollback_canary(const std::string& service) {
   kube_.cluster().sim().trace().record(
       kube_.cluster().sim().now(), "knative", "rollout_rollback",
       {{"service", service}, {"revision", rev.pending_rev}});
-  kube_.api().delete_deployment(rev.pending_deployment);
+  kube_.api().delete_deployment(deployment_name(rev.pending_rev));
   kube_.api().delete_service(rev.pending_rev);
   // The rolled-back revision number is burned (Knative never reuses one).
   ++rev.generation;
   rev.pending_rev.clear();
-  rev.pending_deployment.clear();
   rev.canary_fraction = -1;
 }
 
@@ -576,7 +576,7 @@ void KnativeServing::apply_scale(Revision& rev, int desired) {
        {"from", std::to_string(rev.current_desired)},
        {"to", std::to_string(desired)}});
   rev.current_desired = desired;
-  kube_.api().set_deployment_replicas(rev.deployment_name, desired);
+  kube_.api().set_deployment_replicas(deployment_name(rev.rev_name), desired);
 }
 
 void KnativeServing::ensure_ticking(const std::string& service) {

@@ -225,8 +225,7 @@ class KnativeServing {
  private:
   struct Revision {
     KnServiceSpec spec;  ///< spec of the active revision (handler!)
-    std::string rev_name;
-    std::string deployment_name;
+    std::string rev_name;  ///< its Deployment is rev_name + "-deployment"
     KpaScaler kpa{KpaScaler::Config{}};
     int current_desired = 0;
     bool ticking = false;
@@ -247,10 +246,9 @@ class KnativeServing {
     TokenBucket admission;
     std::uint64_t admission_rejections = 0;
     int generation = 1;
-    /// Rollout in flight (update_service): the next revision's name,
-    /// deployment and spec; traffic switches once it has ready pods.
+    /// Rollout in flight (update_service): the next revision's name and
+    /// spec; traffic switches once it has ready pods.
     std::string pending_rev;
-    std::string pending_deployment;
     KnServiceSpec pending_spec;
     /// -1 = automatic blue/green switch; [0,1] = held canary split.
     double canary_fraction = -1;

@@ -150,10 +150,4 @@ CounterId StatsStore::find_counter(std::uint32_t scope_id,
   return it == counter_index_.end() ? CounterId{} : CounterId{it->second};
 }
 
-HistogramId StatsStore::find_histogram(std::uint32_t scope_id,
-                                       std::uint32_t name_id) const noexcept {
-  const auto it = histogram_index_.find(key(scope_id, name_id));
-  return it == histogram_index_.end() ? HistogramId{} : HistogramId{it->second};
-}
-
 }  // namespace sf::stats

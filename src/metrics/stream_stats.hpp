@@ -120,8 +120,6 @@ class StatsStore {
   /// Lookup without creating; invalid handle when absent.
   [[nodiscard]] CounterId find_counter(std::uint32_t scope_id,
                                        std::uint32_t name_id) const noexcept;
-  [[nodiscard]] HistogramId find_histogram(std::uint32_t scope_id,
-                                           std::uint32_t name_id) const noexcept;
 
   [[nodiscard]] std::size_t counter_count() const noexcept {
     return counters_.size();

@@ -81,8 +81,8 @@ TEST_F(ComplexityTest, EvictionExaminesOnlyTheAffectedNodesPods) {
   sim.run_until(10.0);
   EXPECT_EQ(ctl.not_ready_transitions(), 1u);
   EXPECT_EQ(ctl.evictions(), static_cast<std::uint64_t>(kPodsPerNode));
-  // The complexity claim: eviction walked node3's posting list only —
-  // 8 pods examined, not the 32 in the store.
+  // The complexity claim: eviction examined node3's pods only — 8 pods
+  // handed to the controller, not the 32 in the store.
   EXPECT_EQ(ctl.eviction_probes(), static_cast<std::uint64_t>(kPodsPerNode));
 }
 
@@ -230,6 +230,63 @@ TEST_F(NodeLifecycleTest, ReRegisteringANodeRefreshesItsLease) {
   EXPECT_EQ(ctl.not_ready_transitions(), 1u);
   sim.run_until(13.5);
   EXPECT_EQ(ctl.not_ready_transitions(), 2u);
+}
+
+TEST_F(NodeLifecycleTest, LostNodesEvictOnlyTheirOwnPodsInNameOrder) {
+  for (const char* n : {"a", "b", "c"}) register_node(n);
+  std::vector<std::string> pod_events;
+  api.watch_pods([&pod_events](EventType type, const Pod& pod) {
+    pod_events.push_back(
+        pod.name + ":" +
+        (type == EventType::kDeleted ? "deleted" : to_string(pod.phase)));
+  });
+  auto run_on = [this](const std::string& pod, const std::string& node) {
+    Pod p;
+    p.name = pod;
+    p.node_name = node;
+    api.create_pod(std::move(p));
+    api.mutate_pod(pod, [](Pod& mp) {
+      mp.phase = PodPhase::kRunning;
+      mp.ready = true;
+    });
+  };
+  // Pod slots in creation order: p3 p7 x p1 p5 c1 y, so slot order is not
+  // name order on either lost node.
+  run_on("p3", "a");
+  run_on("p7", "b");
+  run_on("x", "a");
+  run_on("p1", "a");
+  run_on("p5", "b");
+  run_on("c1", "c");
+  run_on("y", "b");
+  api.finalize_pod_deletion("x");
+  run_on("c2", "c");  // reuses x's freed slot, on the live node
+  api.finalize_pod_deletion("y");  // y's slot stays free
+  api.delete_pod("p5");  // Terminating; no kubelet will confirm it
+  for (int t = 1; t <= 10; ++t) {
+    sim.call_at(t, [this] { api.renew_node_lease("c"); });
+  }
+  NodeLifecycleController ctl{api};
+  sim.run_until(4.5);
+  pod_events.clear();
+  sim.run_until(5.5);  // the t=5 sweep finds a and b 5 s old
+
+  EXPECT_EQ(seen, (std::vector<std::string>{"a:not-ready", "b:not-ready"}));
+  EXPECT_EQ(pod_events,
+            (std::vector<std::string>{"p1:Failed", "p3:Failed",
+                                      "p5:deleted", "p7:Failed"}));
+  EXPECT_EQ(api.get_pod("p5"), nullptr);
+  EXPECT_EQ(ctl.evictions(), 4u);
+  // The four victims and nothing else: neither c's pods nor the free slot
+  // y left behind on b.
+  EXPECT_EQ(ctl.eviction_probes(), 4u);
+  for (const char* live : {"c1", "c2"}) {
+    const Pod* pod = api.get_pod(live);
+    ASSERT_NE(pod, nullptr);
+    EXPECT_EQ(pod->node_name, "c");
+    EXPECT_EQ(pod->phase, PodPhase::kRunning);
+    EXPECT_TRUE(pod->ready);
+  }
 }
 
 /// The shared heartbeat wheel must drop dead kubelets instead of polling

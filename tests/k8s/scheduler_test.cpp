@@ -91,6 +91,26 @@ TEST_F(SchedulerTest, BindCountTracksScheduledPods) {
   EXPECT_EQ(kube.scheduler().binds(), 2u);
 }
 
+TEST_F(SchedulerTest, BareSchedulerScoresNoLocality) {
+  // The fixture's scheduler sends p0 to node2, the one worker caching its
+  // image. A Scheduler built on an API server alone has no caches to ask:
+  // over the same nodes the pod sees a three-way tie, which goes to the
+  // smallest name.
+  kube.worker("node2").cache->seed_image(
+      container::make_task_image("matmul"));
+  ApiServer api{sim};
+  Scheduler bare{api};
+  kube.api().for_each_node(
+      [&api](std::uint32_t, const NodeObject& node,
+             const ApiServer::NodeUsage&) { api.register_node(node); });
+  kube.api().create_pod(pod("p0"));
+  api.create_pod(pod("p0"));
+  sim.run_until(30.0);
+  EXPECT_EQ(kube.api().get_pod("p0")->node_name, "node2");
+  EXPECT_EQ(api.get_pod("p0")->node_name, "node1");
+  EXPECT_EQ(bare.binds(), 1u);
+}
+
 // ---- Equivalence: slot-ordered scan against the name-keyed scan ---------
 
 /// The scheduler's placement rule as a name-keyed scan, kept as the
