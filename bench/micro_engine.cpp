@@ -377,8 +377,8 @@ void BM_WatchFanoutNodeScoped(benchmark::State& state) {
 BENCHMARK(BM_WatchFanoutNodeScoped)->Arg(64)->Arg(1024);
 
 // Scheduler at scale: a large pod burst over a wide node table. The
-// rescan-based scheduler pays O(pods) per bind (O(pods^2) for the burst);
-// the incremental per-node usage bookkeeping pays O(nodes) per bind.
+// rescan-based scheduler paid O(pods) per bind (O(pods^2) for the burst);
+// the placement index walk visits a few nodes per bind.
 void BM_SchedulerScaled(benchmark::State& state) {
   const int pods = static_cast<int>(state.range(0));
   constexpr int kNodes = 128;
@@ -409,11 +409,16 @@ void BM_SchedulerScaled(benchmark::State& state) {
 BENCHMARK(BM_SchedulerScaled)->Arg(2048);
 
 // One pod placed over a wide cluster through KubeCluster, with image
-// locality on (half the workers cache the image): the cost of one
-// scheduler pass over N nodes. Each iteration creates a pod and steps the
-// engine until it is bound; the kubelet's realize work for the previous
-// pod rides along as a small constant.
-void BM_SchedulePodScaled(benchmark::State& state) {
+// locality on: the cost of one placement over N nodes, where every
+// `cached_every`-th worker caches the image. Each iteration creates a pod
+// and steps the engine until it is bound; the kubelet's realize work for
+// the previous pod rides along as a small constant. The run places a fixed
+// number of pods, well below what the cluster holds (32 such pods per
+// 8-core worker): past that, a pod never binds and the step loop would
+// spin on the scheduler's retry timer forever.
+constexpr benchmark::IterationCount kScaledPlacements = 4096;
+
+void schedule_pod_scaled(benchmark::State& state, std::size_t cached_every) {
   const auto nodes = static_cast<std::uint32_t>(state.range(0));
   sim::Simulation sim;
   auto topo = workload::make_scaled_topology(sim, nodes, 8);
@@ -421,7 +426,7 @@ void BM_SchedulePodScaled(benchmark::State& state) {
   const container::Image image = container::make_task_image("fn");
   hub.push(image);
   k8s::KubeCluster kube{*topo.cluster, hub, topo.workers};
-  for (std::size_t i = 0; i < topo.workers.size(); i += 2) {
+  for (std::size_t i = 0; i < topo.workers.size(); i += cached_every) {
     kube.worker(topo.workers[i]->name()).cache->seed_image(image);
   }
   std::uint64_t n = 0;
@@ -441,7 +446,27 @@ void BM_SchedulePodScaled(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_SchedulePodScaled)->Arg(1024)->Arg(4096)->Arg(10240);
+
+// Half the workers cache the image: the walk goes on past uncached nodes
+// while one of them could still win.
+void BM_SchedulePodScaled(benchmark::State& state) {
+  schedule_pod_scaled(state, 2);
+}
+BENCHMARK(BM_SchedulePodScaled)
+    ->Arg(1024)
+    ->Arg(4096)
+    ->Arg(10240)
+    ->Iterations(kScaledPlacements);
+
+// Every worker caches the image, as in serve-scale and scale_sweep.
+void BM_SchedulePodScaledAllCached(benchmark::State& state) {
+  schedule_pod_scaled(state, 1);
+}
+BENCHMARK(BM_SchedulePodScaledAllCached)
+    ->Arg(1024)
+    ->Arg(4096)
+    ->Arg(10240)
+    ->Iterations(kScaledPlacements);
 
 // Endpoints upkeep under readiness churn: N ready pods behind one service,
 // one pod flipping ready per iteration, delivered to the endpoints

@@ -187,6 +187,52 @@ void InvariantChecker::register_builtins() {
     return examined;
   });
 
+  // -- k8s: the scheduler's placement index equals a rescan of the nodes:
+  // -- each ready registered node once, under its allocatable CPU, keyed
+  // -- by its current used CPU, in (used CPU, name) order. ----------------
+  add_counted_invariant("k8s.placement_index",
+                        [this](std::vector<std::string>& out) -> std::uint64_t {
+    const k8s::ApiServer& api = tb_.kube().api();
+    std::vector<std::uint32_t> seen;  // index entries per node slot
+    std::uint64_t examined = 0;
+    for (const auto& cls : api.cpu_classes()) {
+      const k8s::ApiServer::PlacedNode* prev = nullptr;
+      for (const auto& entry : cls.nodes) {
+        ++examined;
+        if (entry.slot >= seen.size()) seen.resize(entry.slot + 1, 0);
+        ++seen[entry.slot];
+        const k8s::NodeObject& node = api.node_at(entry.slot);
+        if (node.allocatable_cpu != cls.allocatable_cpu ||
+            entry.cpu != api.usage_at(entry.slot).cpu) {
+          std::ostringstream os;
+          os << node.name << ": indexed at (" << entry.cpu << " used, "
+             << cls.allocatable_cpu << " cores) but has ("
+             << api.usage_at(entry.slot).cpu << ", " << node.allocatable_cpu
+             << ")";
+          out.push_back(os.str());
+        }
+        if (prev != nullptr &&
+            (prev->cpu > entry.cpu ||
+             (prev->cpu == entry.cpu &&
+              api.node_at(prev->slot).name >= node.name))) {
+          out.push_back(node.name + ": out of (used CPU, name) order after " +
+                        api.node_at(prev->slot).name);
+        }
+        prev = &entry;
+      }
+    }
+    api.for_each_node([&](std::uint32_t slot, const k8s::NodeObject& node,
+                          const k8s::ApiServer::NodeUsage&) {
+      const std::uint32_t n = slot < seen.size() ? seen[slot] : 0;
+      if (n != (node.ready ? 1u : 0u)) {
+        out.push_back(node.name + (node.ready ? " (Ready)" : " (NotReady)") +
+                      " is in the placement index " + std::to_string(n) +
+                      " times");
+      }
+    });
+    return examined;
+  });
+
   // -- knative: the ejection filter never steers traffic onto an ---------
   // -- ejected backend while a healthy alternative exists (panic picks ----
   // -- are counted separately and are legal). -----------------------------

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 
@@ -51,7 +52,9 @@ void ApiServer::register_node(NodeObject node) {
   node_flags_[slot] = static_cast<std::uint8_t>(
       kNodeRegistered | (node.ready ? kNodeReady : 0));
   node_lease_[slot] = sim_.now();
+  unindex_node(slot);  // a re-registration may change the node's class
   ns.obj = std::move(node);
+  index_node(slot);
 }
 
 bool ApiServer::set_node_ready(const std::string& name, bool ready) {
@@ -62,10 +65,48 @@ bool ApiServer::set_node_ready(const std::string& name, bool ready) {
   ns.obj->ready = ready;
   node_flags_[slot] = static_cast<std::uint8_t>(
       kNodeRegistered | (ready ? kNodeReady : 0));
+  if (ready) {
+    index_node(slot);
+  } else {
+    unindex_node(slot);
+  }
   sim_.trace().record(sim_.now(), "api", ready ? "node_ready" : "node_not_ready",
                       {{"node", name}});
   notify(node_watches_, EventType::kModified, *ns.obj);
   return true;
+}
+
+void ApiServer::index_node(std::uint32_t slot) {
+  NodeSlot& ns = node_slots_[slot];
+  if (ns.cpu_class != kNoSlot || !ns.obj->ready) return;
+  const double cpu = ns.obj->allocatable_cpu;
+  auto cls = std::find_if(
+      cpu_classes_.begin(), cpu_classes_.end(),
+      [cpu](const CpuClass& c) { return c.allocatable_cpu == cpu; });
+  if (cls == cpu_classes_.end()) {
+    cpu_classes_.push_back(
+        CpuClass{cpu, PlacementSet{PlacementOrder{&node_ids_}}});
+    cls = std::prev(cpu_classes_.end());
+  }
+  ns.cpu_class = static_cast<std::uint32_t>(cls - cpu_classes_.begin());
+  ns.placed = cls->nodes.insert(PlacedNode{ns.usage.cpu, slot}).first;
+}
+
+void ApiServer::unindex_node(std::uint32_t slot) {
+  NodeSlot& ns = node_slots_[slot];
+  if (ns.cpu_class == kNoSlot) return;
+  cpu_classes_[ns.cpu_class].nodes.erase(ns.placed);
+  ns.cpu_class = kNoSlot;
+}
+
+void ApiServer::rekey_node(std::uint32_t slot) {
+  NodeSlot& ns = node_slots_[slot];
+  if (ns.cpu_class == kNoSlot || ns.placed->cpu == ns.usage.cpu) return;
+  // Re-file the same tree node under its new key: no allocation.
+  PlacementSet& nodes = cpu_classes_[ns.cpu_class].nodes;
+  auto entry = nodes.extract(ns.placed);
+  entry.value().cpu = ns.usage.cpu;
+  ns.placed = nodes.insert(std::move(entry)).position;
 }
 
 void ApiServer::renew_node_lease(const std::string& name) {
@@ -199,6 +240,7 @@ void ApiServer::add_usage(std::uint32_t node_slot, const Pod& pod) {
   u.cpu += pod.cpu_request;
   u.memory += pod.memory_request;
   ++u.pods;
+  rekey_node(node_slot);
 }
 
 void ApiServer::sub_usage(std::uint32_t node_slot, double cpu, double memory) {
@@ -207,6 +249,7 @@ void ApiServer::sub_usage(std::uint32_t node_slot, double cpu, double memory) {
   u.cpu -= cpu;
   u.memory -= memory;
   --u.pods;
+  rekey_node(node_slot);
 }
 
 const Pod* ApiServer::get_pod(const std::string& name) const {

@@ -4,6 +4,7 @@
 #include <deque>
 #include <functional>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -36,8 +37,14 @@ enum class EventType { kAdded, kModified, kDeleted };
 /// side array indexed by pod slot, so the per-event path never hashes a
 /// node name, and the pods on a node are the pod slots whose entry names
 /// it. Registered node slots are also kept in name order, so a full node
-/// scan (the scheduler's, the lifecycle sweep's) reads every node by slot
-/// in the order a name-keyed map would iterate.
+/// scan (the lifecycle sweep's) reads every node by slot in the order a
+/// name-keyed map would iterate.
+///
+/// Beside the usage aggregates sits the placement index the scheduler
+/// walks: for each allocatable-CPU class, the ready registered nodes in
+/// (used CPU, name) order, names compared through the node interner. Each
+/// usage change, Ready flip and (re-)registration moves one entry, so the
+/// index always matches a rescan of the nodes (see cpu_classes).
 ///
 /// Each Service also has a live ready set — the endpoints a full rebuild
 /// from the pod store would list — maintained beside the usage aggregates
@@ -75,6 +82,56 @@ class ApiServer {
   /// Registers (or re-registers) a node; re-registration replaces the
   /// object and keeps the node's slot and name-order position.
   void register_node(NodeObject node);
+
+  /// One placement-index entry: a node slot keyed by its current
+  /// NodeUsage::cpu.
+  struct PlacedNode {
+    double cpu = 0;
+    std::uint32_t slot = 0;
+  };
+  /// Compares a PlacedNode's used CPU alone, so a lookup can land on the
+  /// first entry past every node with that usage (see PlacementOrder).
+  struct UsedCpu {
+    double cpu = 0;
+  };
+  /// (used CPU, node name) order; equal usage sorts by name.
+  struct PlacementOrder {
+    using is_transparent = void;
+    const sim::Interner* ids = nullptr;
+    bool operator()(const PlacedNode& a, const PlacedNode& b) const {
+      if (a.cpu != b.cpu) return a.cpu < b.cpu;
+      return ids->name(a.slot + 1) < ids->name(b.slot + 1);
+    }
+    bool operator()(const PlacedNode& a, UsedCpu b) const {
+      return a.cpu < b.cpu;
+    }
+    bool operator()(UsedCpu a, const PlacedNode& b) const {
+      return a.cpu < b.cpu;
+    }
+  };
+  using PlacementSet = std::set<PlacedNode, PlacementOrder>;
+  /// The ready registered nodes whose allocatable CPU is `allocatable_cpu`.
+  struct CpuClass {
+    double allocatable_cpu = 0;
+    PlacementSet nodes;
+  };
+
+  /// The placement index, one class per allocatable-CPU value in the order
+  /// the values first appear on a Ready node (classes are never dropped,
+  /// so a class may be empty). A node is in it exactly while it is registered and Ready,
+  /// under its allocatable CPU, keyed by its usage aggregate's cpu.
+  [[nodiscard]] const std::deque<CpuClass>& cpu_classes() const {
+    return cpu_classes_;
+  }
+
+  /// A registered node's object and usage aggregate by slot (slots from
+  /// cpu_classes or for_each_node).
+  [[nodiscard]] const NodeObject& node_at(std::uint32_t slot) const {
+    return *node_slots_[slot].obj;
+  }
+  [[nodiscard]] const NodeUsage& usage_at(std::uint32_t slot) const {
+    return node_slots_[slot].usage;
+  }
 
   /// Visits every registered node in ascending name order — the order the
   /// former name-keyed node map iterated — as fn(slot, node, usage), read
@@ -295,6 +352,10 @@ class ApiServer {
     std::optional<NodeObject> obj;  ///< empty until registered
     NodeUsage usage;
     std::deque<SeqPodWatch> watches;   ///< node-scoped pod watch shard
+    /// Placement-index position: the class and the entry, while the node
+    /// is registered and Ready; kNoSlot otherwise.
+    std::uint32_t cpu_class = kNoSlot;
+    PlacementSet::iterator placed;
   };
 
   /// node_flags_ bits, kept in lockstep with NodeSlot::obj / obj->ready so
@@ -320,6 +381,13 @@ class ApiServer {
   }
   void add_usage(std::uint32_t node_slot, const Pod& pod);
   void sub_usage(std::uint32_t node_slot, double cpu, double memory);
+
+  /// Placement-index upkeep: index_node files a registered node under its
+  /// class when it is Ready; unindex_node takes it out if it is in;
+  /// rekey_node moves its entry to its current usage cpu.
+  void index_node(std::uint32_t slot);
+  void unindex_node(std::uint32_t slot);
+  void rekey_node(std::uint32_t slot);
 
   /// A service's live ready set, indexed by service slot (see
   /// ready_endpoints). `dirty` is set by every change to the set or to
@@ -375,6 +443,9 @@ class ApiServer {
   std::deque<NodeSlot> node_slots_;
   /// Slots of registered nodes, sorted by name (see for_each_node).
   std::vector<std::uint32_t> node_order_;
+  /// The placement index (see cpu_classes). A deque, so a new class never
+  /// moves the sets that NodeSlot::placed points into.
+  std::deque<CpuClass> cpu_classes_;
 
   // Heartbeat and sweep side arrays, indexed by node slot (see
   // renew_node_lease_slot): last lease stamp and registered/ready flags.

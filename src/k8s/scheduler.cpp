@@ -42,32 +42,53 @@ void Scheduler::try_schedule(const std::string& pod_name) {
   // aggregates, maintained O(changed) with the pod store. The request
   // values in play are exactly representable, so the incrementally kept
   // sums equal a rescan's sums bit for bit and scores are unchanged.
-  // nullptr when locality is off or no node can hold the image.
+  // nullptr when locality is off or the registry does not know the image.
   const std::vector<sim::ObjectId>* layers =
-      registry_ == nullptr ? nullptr
-                           : registry_->layer_ids(pod->container.image);
+      registry_ == nullptr || node_caches_ == nullptr
+          ? nullptr
+          : registry_->layer_ids(pod->container.image);
+  // The winner is the highest score, ties going to the smallest name: the
+  // node a name-ordered pass with strict `>` would keep.
   const NodeObject* best = nullptr;
   double best_score = -std::numeric_limits<double>::infinity();
-  api_.for_each_node([&](std::uint32_t slot, const NodeObject& node,
-                         const ApiServer::NodeUsage& used) {
-    if (!node.ready) return;  // filter: NotReady (crashed / lease expired)
-    if (used.cpu + pod->cpu_request > node.allocatable_cpu ||
-        used.memory + pod->memory_request > node.allocatable_memory) {
-      return;  // filter: does not fit
-    }
-    // Score: least-requested CPU fraction, plus image-locality bonus.
-    double score = 1.0 - (used.cpu + pod->cpu_request) / node.allocatable_cpu;
-    if (layers != nullptr && slot < node_caches_->size()) {
-      const container::ImageCache* cache = (*node_caches_)[slot];
-      if (cache != nullptr && cache->has_layers(*layers)) {
-        score += kLocalityWeight;
+  for (const ApiServer::CpuClass& cls : api_.cpu_classes()) {
+    const ApiServer::PlacementSet& nodes = cls.nodes;
+    for (auto it = nodes.begin(); it != nodes.end();) {
+      const double used = it->cpu;
+      // Usage only grows along the class, and IEEE rounding is monotone,
+      // so no later node fits either.
+      if (used + pod->cpu_request > cls.allocatable_cpu) break;
+      // Score: least-requested CPU fraction, plus image-locality bonus.
+      const double lr = 1.0 - (used + pod->cpu_request) / cls.allocatable_cpu;
+      const double bound = layers != nullptr ? lr + kLocalityWeight : lr;
+      if (bound < best_score) break;
+      const NodeObject& node = api_.node_at(it->slot);
+      if (best != nullptr && bound == best_score && node.name > best->name) {
+        // Neither this node nor the larger names after it with the same
+        // usage can win: go to the next usage.
+        it = nodes.upper_bound(ApiServer::UsedCpu{used});
+        continue;
+      }
+      const std::uint32_t slot = it->slot;
+      ++it;
+      if (api_.usage_at(slot).memory + pod->memory_request >
+          node.allocatable_memory) {
+        continue;  // filter: does not fit
+      }
+      double score = lr;
+      if (layers != nullptr && slot < node_caches_->size()) {
+        const container::ImageCache* cache = (*node_caches_)[slot];
+        if (cache != nullptr && cache->has_layers(*layers)) {
+          score += kLocalityWeight;
+        }
+      }
+      if (score > best_score || (best != nullptr && score == best_score &&
+                                 node.name < best->name)) {
+        best_score = score;
+        best = &node;
       }
     }
-    if (score > best_score) {  // strict: ties keep the smaller name
-      best_score = score;
-      best = &node;
-    }
-  });
+  }
 
   if (best == nullptr) {
     // Unschedulable: remember it and retry after backoff.

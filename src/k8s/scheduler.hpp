@@ -19,18 +19,27 @@ namespace sf::k8s {
 /// Unschedulable pods are retried after a backoff and whenever capacity
 /// frees up.
 ///
-/// A placement is one pass over the registered nodes in name order
-/// (ApiServer::for_each_node), reading each node's object and usage
-/// aggregate by slot. The pod's image is resolved once per placement into
-/// its interned layer ids, and each node slot's image cache answers
-/// has_layers for them, so the per-node work is a few loads and integer
-/// compares: no name hashing, map walk or manifest copy. Ties on score go
-/// to the smallest node name.
+/// A placement walks the API server's placement index (ApiServer::
+/// cpu_classes): per allocatable-CPU class, the ready nodes in (used CPU,
+/// name) order. Along a class the used CPU only grows, and IEEE rounding
+/// is monotone, so neither fit nor the best score a node could reach (its
+/// least-requested term, plus the locality weight when the registry knows
+/// the image) ever exceeds an earlier node's. Each class walk therefore
+/// stops at its first CPU-unfit node, and once that bound falls below the
+/// best score so far.
+/// It steps over memory-unfit nodes, and skips the rest of a run of equal
+/// used CPU once that run cannot beat the best on score or name. Equal
+/// scores go to the smallest node name, as a full pass in name order with
+/// strict `>` would pick. The pod's image is resolved once per placement
+/// into its interned layer ids, and only visited nodes' image caches are
+/// asked has_layers: one or two nodes per class when every node holds the
+/// image; with partial locality, the walk goes on down each class while a
+/// node could still win.
 class Scheduler {
  public:
   /// `registry` resolves images and `node_caches` holds each node slot's
-  /// image cache (nullptr, or past the end, for a node without one); give
-  /// both or neither. Without them nothing scores locality.
+  /// image cache (nullptr, or past the end, for a node without one).
+  /// Locality is scored only when both are given.
   explicit Scheduler(
       ApiServer& api, const container::Registry* registry = nullptr,
       const std::vector<const container::ImageCache*>* node_caches = nullptr);

@@ -1,10 +1,11 @@
 // Focused scheduler behaviours: image-locality scoring, least-requested
 // spreading, and resource-exhaustion handling; plus an equivalence check
-// of the slot-ordered node scan against a name-keyed reference scan.
+// of the placement-index walk against a name-keyed reference scan.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <map>
 #include <memory>
@@ -111,7 +112,24 @@ TEST_F(SchedulerTest, BareSchedulerScoresNoLocality) {
   EXPECT_EQ(bare.binds(), 1u);
 }
 
-// ---- Equivalence: slot-ordered scan against the name-keyed scan ---------
+TEST_F(SchedulerTest, RegistryWithoutCachesScoresNoLocality) {
+  // A registry alone is not enough to score locality: with no cache table
+  // to ask, the image it knows adds nothing, and the three-way tie goes to
+  // the smallest name.
+  kube.worker("node2").cache->seed_image(
+      container::make_task_image("matmul"));
+  ApiServer api{sim};
+  Scheduler registry_only{api, &hub};
+  kube.api().for_each_node(
+      [&api](std::uint32_t, const NodeObject& node,
+             const ApiServer::NodeUsage&) { api.register_node(node); });
+  api.create_pod(pod("p0"));
+  sim.run_until(30.0);
+  EXPECT_EQ(api.get_pod("p0")->node_name, "node1");
+  EXPECT_EQ(registry_only.binds(), 1u);
+}
+
+// ---- Equivalence: the placement-index walk against the name-keyed scan --
 
 /// The scheduler's placement rule as a name-keyed scan, kept as the
 /// reference: every registered node in name order through a std::map,
@@ -160,9 +178,10 @@ std::string reference_placement(KubeCluster& kube,
 /// A cluster whose workers register in a shuffled order (so node10 lands
 /// before node2), with uneven sizes, pre-bound load, some NotReady nodes
 /// and image caches that are seeded, pulled, cleared or made stale by a
-/// registry re-push. Trial pods arrive over time while the state keeps
-/// shifting; each is checked, inside its own scheduling delivery, against
-/// reference_placement.
+/// registry re-push. Load pods are deleted or fail, and workers re-register
+/// with other core counts. Trial pods arrive over time while the state
+/// keeps shifting; each is checked, inside its own scheduling delivery,
+/// against reference_placement.
 class SchedulerEquivalence {
  public:
   explicit SchedulerEquivalence(std::uint64_t seed) : sim_(seed), rng_(seed) {
@@ -217,6 +236,7 @@ class SchedulerEquivalence {
       p.node_name = rng_.pick(workers_)->name();
       p.cpu_request = 0.25 * static_cast<double>(1 + rng_.index(12));
       p.memory_request = 1e9 * static_cast<double>(1 + rng_.index(4));
+      loads_.push_back(p.name);
       kube_->api().create_pod(std::move(p));
     }
     for (int i = 0; i < 60; ++i) {
@@ -235,9 +255,10 @@ class SchedulerEquivalence {
   void perturb(int i) {
     const std::string node = rng_.pick(workers_)->name();
     container::ImageCache& cache = *kube_->worker(node).cache;
-    switch (rng_.index(5)) {
+    ApiServer& api = kube_->api();
+    switch (rng_.index(8)) {
       case 0:
-        kube_->api().set_node_ready(node, rng_.chance(0.6));
+        api.set_node_ready(node, rng_.chance(0.6));
         break;
       case 1:
         cache.clear();
@@ -249,13 +270,39 @@ class SchedulerEquivalence {
         cache.ensure_image(rng_.chance(0.5) ? "alpha:latest" : "beta:latest",
                            *hub_, [](bool) {});
         break;
-      default: {
+      case 4: {
         // Re-push alpha with one more layer: caches holding the old
         // manifest lose its locality until they pull the new layer.
         container::Image alpha = container::make_task_image("alpha");
         alpha.layers.push_back(
             {"sha256:alpha-fix" + std::to_string(i), 1e6});
         hub_->push(std::move(alpha));
+        break;
+      }
+      case 5: {
+        // Deleted and finalized: its node's used CPU drops.
+        if (loads_.empty()) break;
+        const std::size_t k = rng_.index(loads_.size());
+        api.delete_pod(loads_[k]);
+        api.finalize_pod_deletion(loads_[k]);
+        loads_.erase(loads_.begin() + static_cast<std::ptrdiff_t>(k));
+        break;
+      }
+      case 6:
+        // Failed: its requests stop counting toward the node.
+        if (!loads_.empty()) {
+          api.mutate_pod(rng_.pick(loads_),
+                         [](Pod& p) { p.phase = PodPhase::kFailed; });
+        }
+        break;
+      default: {
+        // Re-registered with another core count: it changes CPU class.
+        NodeObject obj = api.node_at(api.find_node_slot(node));
+        const std::size_t k =
+            static_cast<std::size_t>(obj.allocatable_cpu / 4.0) - 1;
+        obj.allocatable_cpu =
+            4.0 * static_cast<double>(1 + (k + 1 + rng_.index(3)) % 4);
+        api.register_node(std::move(obj));
         break;
       }
     }
@@ -280,6 +327,7 @@ class SchedulerEquivalence {
   std::vector<cluster::Node*> workers_;
   std::unique_ptr<container::Registry> hub_;
   std::unique_ptr<KubeCluster> kube_;
+  std::vector<std::string> loads_;  ///< load pods not yet deleted
   int checked_ = 0;
   int bound_ = 0;
 };
@@ -317,6 +365,52 @@ TEST(SchedulerEquivalenceTest, EqualScoresGoToTheSmallestName) {
   EXPECT_EQ(place("a"), "node10");
   // node10 now carries load; the tie among the rest goes to node11.
   EXPECT_EQ(place("b"), "node11");
+}
+
+/// Registers `nodes` as (name, allocatable cores) in that order on a bare
+/// API server, pre-binds a pod of `loads[i]` cores to node i, then places
+/// a 1-core pod and returns where it lands.
+std::string place_over_loads(
+    const std::vector<std::pair<std::string, double>>& nodes,
+    const std::vector<double>& loads) {
+  sim::Simulation sim;
+  ApiServer api{sim};
+  Scheduler sched{api};
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    NodeObject node;
+    node.name = nodes[i].first;
+    node.allocatable_cpu = nodes[i].second;
+    node.allocatable_memory = 64e9;
+    api.register_node(node);
+    Pod load;
+    load.name = "load-" + node.name;
+    load.node_name = node.name;
+    load.cpu_request = loads[i];
+    api.create_pod(std::move(load));
+  }
+  Pod p;
+  p.name = "p";
+  p.cpu_request = 1.0;
+  api.create_pod(std::move(p));
+  sim.run_until(1.0);
+  return api.get_pod("p")->node_name;
+}
+
+TEST(SchedulerEquivalenceTest, RoundedScoreTiesGoToTheSmallestName) {
+  const auto score = [](double used, double cores) {
+    return 1.0 - (used + 1.0) / cores;
+  };
+  // One class: the node with the larger load sorts second in the index
+  // but has the smaller name, and its score rounds to the same value.
+  const double low = 0.1;
+  const double high = std::nextafter(0.1, 1.0);
+  ASSERT_NE(low, high);
+  ASSERT_EQ(score(low, 4.0), score(high, 4.0));
+  EXPECT_EQ(place_over_loads({{"b", 4.0}, {"a", 4.0}}, {low, high}), "a");
+  // Two classes, the 4-core one registered first: 1 of 4 cores used and
+  // 3 of 8 both score 0.5, and the 8-core node has the smaller name.
+  ASSERT_EQ(score(1.0, 4.0), score(3.0, 8.0));
+  EXPECT_EQ(place_over_loads({{"y", 4.0}, {"x", 8.0}}, {1.0, 3.0}), "x");
 }
 
 }  // namespace
