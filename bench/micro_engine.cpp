@@ -26,6 +26,7 @@
 #include "pegasus/planner.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/ps_resource.hpp"
+#include "sim/random.hpp"
 #include "sim/simulation.hpp"
 #include "storage/replica_catalog.hpp"
 #include "storage/volume.hpp"
@@ -36,6 +37,8 @@ namespace {
 
 using namespace sf;
 
+// Tie-heavy drain: about 100 events on each of 97 instants at n = 10000,
+// all scheduled, then all popped.
 void BM_EventQueueScheduleAndPop(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
@@ -49,10 +52,10 @@ void BM_EventQueueScheduleAndPop(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueScheduleAndPop)->Arg(1000)->Arg(10000);
 
-// Cancellation-heavy trajectory: schedule a window of events, then cancel
-// every other one before popping the survivors. Exercises the eager-removal
-// path (list unlink + bucket retirement) that tombstone-based queues pay
-// for at pop time instead.
+// Tie-heavy cancellation: the same 97 instants as ScheduleAndPop, with
+// every other event cancelled before the survivors are popped. Exercises
+// eager removal from the middle of the heap, which tombstone-based queues
+// pay for at pop time instead.
 void BM_EventQueueCancelHeavy(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   std::vector<sim::EventId> ids(n);
@@ -83,8 +86,8 @@ void BM_EventQueueMixedSchedule(benchmark::State& state) {
       auto fired = q.pop();
       benchmark::DoNotOptimize(fired.id);
       q.schedule(horizon, [] {});
-      // Every fourth event lands on an existing instant to mix bucket
-      // reuse with fresh timestamps.
+      // Every fourth event lands on an existing instant, the rest on
+      // fresh timestamps.
       horizon += (i % 4 == 0) ? 0.0 : 1.0;
     }
     while (!q.empty()) benchmark::DoNotOptimize(q.pop().id);
@@ -92,6 +95,51 @@ void BM_EventQueueMixedSchedule(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * n));
 }
 BENCHMARK(BM_EventQueueMixedSchedule)->Arg(10000);
+
+// The traffic the benchmark workloads schedule (DESIGN §5): a window of N
+// pending events at distinct instants. Each step pops the earliest and
+// schedules a successor a random delay after it; every 16th step also
+// cancels a random pending event and schedules a replacement, near the
+// 6.6% of events churn-mixed cancels. Delays and victims are drawn once,
+// outside the timed loop.
+void BM_EventQueueSteadyWindow(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kSteps = 10000;
+  sim::Rng rng(1);
+  std::vector<double> delays(n + kSteps + kSteps / 16);
+  for (double& d : delays) d = rng.uniform(0.001, 1.0);
+  std::vector<std::size_t> victims(kSteps / 16);
+  for (std::size_t& v : victims) v = rng.index(n);
+  for (auto _ : state) {
+    sim::EventQueue q;
+    // ids[i] is the pending event that window position i owns; firing an
+    // event reports its position, so its successor takes the same one.
+    std::vector<sim::EventId> ids(n);
+    std::size_t fired_pos = 0;
+    std::size_t next_delay = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      ids[i] = q.schedule(delays[next_delay++],
+                          [&fired_pos, i] { fired_pos = i; });
+    }
+    for (std::size_t step = 0; step < kSteps; ++step) {
+      auto fired = q.pop();
+      fired.fn();
+      const std::size_t i = fired_pos;
+      ids[i] = q.schedule(fired.time + delays[next_delay++],
+                          [&fired_pos, i] { fired_pos = i; });
+      if (step % 16 == 15) {
+        const std::size_t v = victims[step / 16];
+        q.cancel(ids[v]);
+        ids[v] = q.schedule(fired.time + delays[next_delay++],
+                            [&fired_pos, v] { fired_pos = v; });
+      }
+    }
+    benchmark::DoNotOptimize(q.size());
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * kSteps));
+}
+BENCHMARK(BM_EventQueueSteadyWindow)->Arg(256)->Arg(2048);
 
 void BM_SimulationEventChurn(benchmark::State& state) {
   for (auto _ : state) {
@@ -295,8 +343,9 @@ void BM_CondorMatchIdle(benchmark::State& state) {
 }
 BENCHMARK(BM_CondorMatchIdle)->Arg(256)->Arg(4096);
 
-// Trace hot path at volume: the 10^5..10^6-events-per-run regime the
-// scale sweep lives in. Each record carries two attributes, one with a
+// Trace hot path at volume: 4096 and 65536 records per run. No sweep
+// enables the recorder (ablate_concurrency, the autoscaling_burst example
+// and tests do). Each record carries two attributes, one with a
 // dynamic value — the shape of "request_done {pod, code}". Recorded
 // before and after the interned-id / chunked-arena swap (BENCH_engine.json
 // keeps the pre-swap numbers under baseline_ns).

@@ -10,6 +10,7 @@
 #        scripts/tier1.sh --fuzz [build-dir]     (default: ./build)
 #        scripts/tier1.sh --scale [build-dir]    (default: ./build)
 #        scripts/tier1.sh --figures [build-dir]  (default: ./build)
+#        scripts/tier1.sh --digests <commit>
 #
 # --release builds everything as CMAKE_BUILD_TYPE=Release, still with
 # warnings as errors, and runs the full suite. -O3 inlining lets GCC see
@@ -44,6 +45,13 @@
 # --figures runs the twelve figure and ablation binaries, each against its
 # transcript in tests/golden/figures/. All twelve together run in well
 # under a second.
+#
+# --digests <commit> exports <commit> with git archive into a temporary
+# directory, builds perfbench_driver there and in this checkout (under
+# .bench_build/, with the cmake commands perfbench/run.py uses), runs both
+# on serve-scale, dag-layered and churn-mixed at seeds 1 and 5, and fails
+# unless digest, sim_p50_ms, sim_makespan_s and failed agree on every run.
+# A perf change or refactor must pass it against its parent commit.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -86,6 +94,29 @@ golden_diff() {
   echo "$label: bit-identical at 1 and 4 threads, matches golden:" "${@%%:*}"
 }
 
+# Builds perfbench_driver of the checkout at <root> the way
+# perfbench/run.py does: configure .bench_build/perfbench once, then build.
+#   build_driver <root>
+build_driver() {
+  local build="$1/.bench_build/perfbench"
+  if [[ ! -f "$build/CMakeCache.txt" ]]; then
+    cmake -S "$1/perfbench" -B "$build" -DCMAKE_BUILD_TYPE=Release >/dev/null
+  fi
+  cmake --build "$build" --target perfbench_driver -j "$(nproc)" >/dev/null
+}
+
+# Prints the simulated outcome of one driver run of the checkout at <root>:
+# digest, sim_p50_ms, sim_makespan_s and failed. The driver exits 1 when a
+# run does not drain; its record still compares.
+#   driver_outcome <root> <workload> <seed>
+driver_outcome() {
+  { "$1/.bench_build/perfbench/perfbench_driver" --workload "$2" \
+      --seed "$3" --trace 0 || true; } | tail -n 1 | python3 -c '
+import json, sys
+r = json.load(sys.stdin)
+print(*(r[k] for k in ("digest", "sim_p50_ms", "sim_makespan_s", "failed")))'
+}
+
 goldens="$repo_root/tests/golden"
 case "${1:-}" in
   --figures)
@@ -110,6 +141,28 @@ case "${1:-}" in
   --chaos)
     golden_diff "chaos smoke" "${2:-$repo_root/build}" SF_CHAOS_SMOKE \
       "chaos_sweep:$goldens/chaos_smoke.txt"
+    ;;
+  --digests)
+    commit="${2:?usage: scripts/tier1.sh --digests <commit>}"
+    tmp="$(mktemp -d)"
+    trap 'rm -rf "$tmp"' EXIT
+    git -C "$repo_root" archive "$commit" | tar -x -C "$tmp"
+    build_driver "$tmp"
+    build_driver "$repo_root"
+    moved=0
+    for workload in serve-scale dag-layered churn-mixed; do
+      for seed in 1 5; do
+        want="$(driver_outcome "$tmp" "$workload" "$seed")"
+        got="$(driver_outcome "$repo_root" "$workload" "$seed")"
+        echo "digests: $workload seed $seed: $commit [$want] here [$got]"
+        [[ "$want" == "$got" ]] || moved=1
+      done
+    done
+    if ((moved)); then
+      echo "digests: the simulated outcome moved against $commit" >&2
+      exit 1
+    fi
+    echo "digests: every run matches $commit"
     ;;
   --release)
     full_suite "${2:-$repo_root/build-release}" -DCMAKE_BUILD_TYPE=Release

@@ -5,262 +5,66 @@
 
 namespace sf::sim {
 
-namespace {
-
-inline void prefetch_read(const void* p) {
-#if defined(__GNUC__) || defined(__clang__)
-  __builtin_prefetch(p, 0);
-#else
-  (void)p;
-#endif
-}
-
-inline void prefetch_write(const void* p) {
-#if defined(__GNUC__) || defined(__clang__)
-  __builtin_prefetch(p, 1);
-#else
-  (void)p;
-#endif
-}
-
-}  // namespace
-
-// ---------------------------------------------------------------- TimeIndex
-
-std::uint32_t* EventQueue::TimeIndex::find_or_insert(std::uint64_t key) {
-  if (count_ >= grow_at_) grow();
-  std::size_t i = ideal(key);
-  while (cells_[i].val != kEmpty && cells_[i].key != key) {
-    i = (i + 1) & mask_;
-  }
-  if (cells_[i].val == kEmpty) {
-    cells_[i].key = key;
-    ++count_;
-  }
-  return &cells_[i].val;
-}
-
-void EventQueue::TimeIndex::erase(std::uint64_t key) {
-  std::size_t i = ideal(key);
-  while (cells_[i].key != key || cells_[i].val == kEmpty) {
-    i = (i + 1) & mask_;
-  }
-  // Backward-shift deletion keeps probe chains intact without tombstones.
-  std::size_t hole = i;
-  std::size_t j = i;
-  while (true) {
-    j = (j + 1) & mask_;
-    if (cells_[j].val == kEmpty) break;
-    const std::size_t home = ideal(cells_[j].key);
-    if (((j - home) & mask_) >= ((j - hole) & mask_)) {
-      cells_[hole] = cells_[j];
-      hole = j;
-    }
-  }
-  cells_[hole].val = kEmpty;
-  --count_;
-}
-
-void EventQueue::TimeIndex::grow() {
-  const std::size_t cap = cells_.empty() ? 16 : cells_.size() * 2;
-  std::vector<Cell> old = std::move(cells_);
-  cells_.assign(cap, Cell{});
-  mask_ = cap - 1;
-  shift_ = 64u - static_cast<unsigned>(std::bit_width(mask_));
-  grow_at_ = cap * 3 / 4;
-  for (const Cell& c : old) {
-    if (c.val == kEmpty) continue;
-    std::size_t i = ideal(c.key);
-    while (cells_[i].val != kEmpty) i = (i + 1) & mask_;
-    cells_[i] = c;
-  }
-}
-
-// ---------------------------------------------------------------- EventQueue
-
-EventQueue::~EventQueue() {
-  for (std::uint32_t s = 0; s < slot_count_; ++s) slot_at(s).~Slot();
-}
-
-std::uint32_t EventQueue::alloc_slot() {
-  if (!free_slots_.empty()) {
-    const std::uint32_t slot = free_slots_.back();
-    free_slots_.pop_back();
-    return slot;
-  }
-  const std::uint32_t slot = slot_count_++;
-  assert(slot <= kSlotMask && "EventQueue: too many live events");
-  if ((slot & (kChunkSize - 1)) == 0) {
-    // for_overwrite: the chunk must stay untouched until slots are
-    // individually constructed, or opening one costs a zero-fill wave.
-    slot_chunks_.push_back(std::make_unique_for_overwrite<std::byte[]>(
-        kChunkSize * sizeof(Slot)));
-    next_.resize(next_.size() + kChunkSize);
-  }
-  // Fresh slots are handed out sequentially: warm the line four slots
-  // ahead so a scheduling burst writes into cache instead of raising an
-  // ownership miss per line.
-  if ((slot & (kChunkSize - 1)) + 4 < kChunkSize) {
-    prefetch_write(slot_chunks_.back().get() +
-                   ((slot & (kChunkSize - 1)) + 4) * sizeof(Slot));
-  }
-  return slot;
-}
-
-void EventQueue::recycle_slot(std::uint32_t slot) {
-  slot_at(slot).id = kNoEvent;
-  free_slots_.push_back(slot);
-}
-
 EventId EventQueue::schedule(SimTime t, Callback fn) {
-  const bool fresh = free_slots_.empty();
-  const std::uint32_t slot = alloc_slot();
+  std::uint32_t slot;
+  if (!free_slots_.empty()) {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  } else {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    assert(slots_.size() <= kSlotMask && "EventQueue: too many live events");
+    slots_.emplace_back();
+  }
   const EventId id = (++total_scheduled_ << kSlotBits) | slot;
-  next_[slot] = kNil;
-
-  std::uint32_t prev;
-  std::uint32_t bucket;
-  std::uint32_t* cell = index_.find_or_insert(time_key(t));
-  if (*cell != TimeIndex::kEmpty) {
-    // Existing instant: append to its FIFO — ids are monotonic, so append
-    // order is id order.
-    bucket = *cell;
-    Bucket& b = buckets_[bucket];
-    next_[b.tail] = slot;
-    prev = b.tail;
-    b.tail = slot;
-  } else {
-    // New distinct instant: open a bucket and push it onto the heap.
-    if (!free_buckets_.empty()) {
-      bucket = free_buckets_.back();
-      free_buckets_.pop_back();
-    } else {
-      bucket = static_cast<std::uint32_t>(buckets_.size());
-      buckets_.emplace_back();
-    }
-    *cell = bucket;
-    Bucket& b = buckets_[bucket];
-    b.time = t;
-    b.head = b.tail = slot;
-    prev = kNil;
-    heap_.push_back(HeapEntry{t, bucket});
-    sift_up(heap_.size() - 1, heap_.back());
-  }
-
-  if (fresh) {
-    // First use of this index: start the Slot's lifetime in the raw chunk,
-    // directly with its final field values (no default-init-then-assign).
-    ::new (static_cast<void*>(
-        slot_chunks_[slot >> kChunkShift].get() +
-        (slot & (kChunkSize - 1)) * sizeof(Slot)))
-        Slot{id, prev, bucket, std::move(fn)};
-  } else {
-    // Recycled slots hold a live (empty-callback) Slot object: assign.
-    Slot& s = slot_at(slot);
-    s.id = id;
-    s.prev = prev;
-    s.bucket = bucket;
-    s.fn = std::move(fn);
-  }
-  ++live_;
+  Slot& s = slots_[slot];
+  s.id = id;
+  s.fn = std::move(fn);
+  heap_.push_back(HeapEntry{t, id});
+  sift_up(heap_.size() - 1, heap_.back());
   return id;
 }
 
-void EventQueue::retire_bucket(std::uint32_t bucket) {
-  remove_at(buckets_[bucket].heap_pos);
-  index_.erase(time_key(buckets_[bucket].time));
-  free_buckets_.push_back(bucket);
+void EventQueue::release_slot(std::uint32_t slot) {
+  slots_[slot].id = kNoEvent;
+  free_slots_.push_back(slot);
 }
 
 bool EventQueue::cancel(EventId id) {
   const auto slot = static_cast<std::uint32_t>(id & kSlotMask);
-  if (slot >= slot_count_) return false;
-  Slot& s = slot_at(slot);
-  if (s.id != id) return false;
-  Bucket& b = buckets_[s.bucket];
-  const std::uint32_t nxt = next_[slot];
-  if (s.prev != kNil) {
-    next_[s.prev] = nxt;
-  } else {
-    b.head = nxt;
-  }
-  if (nxt != kNil) {
-    slot_at(nxt).prev = s.prev;
-  } else {
-    b.tail = s.prev;
-  }
-  if (b.head == kNil) retire_bucket(s.bucket);
-  s.fn = nullptr;  // destroy the callback eagerly
-  recycle_slot(slot);
-  --live_;
+  if (slot >= slots_.size() || slots_[slot].id != id) return false;
+  remove_at(slots_[slot].heap_pos);
+  slots_[slot].fn = nullptr;  // destroy the callback eagerly
+  release_slot(slot);
   return true;
 }
 
 EventQueue::Fired EventQueue::pop() {
-  assert(live_ > 0 && "pop() on empty EventQueue");
+  assert(!heap_.empty() && "pop() on empty EventQueue");
   const HeapEntry top = heap_.front();
-  Bucket& b = buckets_[top.bucket];
-  const std::uint32_t slot = b.head;
-  Slot& s = slot_at(slot);
-  const std::uint32_t nxt = next_[slot];
-  if (nxt != kNil) {
-    // The sibling fires on the very next pop; start pulling it in now.
-    // Chasing one more link (a cheap read of the compact next_ array)
-    // extends the prefetch window to two pops, enough to hide an L3 miss.
-    Slot& n = slot_at(nxt);
-    prefetch_read(&n);
-    prefetch_read(reinterpret_cast<const unsigned char*>(&n) + 64);
-    const std::uint32_t nxt2 = next_[nxt];
-    if (nxt2 != kNil) {
-      Slot& n2 = slot_at(nxt2);
-      prefetch_read(&n2);
-      prefetch_read(reinterpret_cast<const unsigned char*>(&n2) + 64);
-    }
-  }
-  Fired fired{top.time, s.id, std::move(s.fn)};
-  b.head = nxt;
-  if (nxt != kNil) {
-    slot_at(nxt).prev = kNil;
-  } else {
-    b.tail = kNil;
-    retire_bucket(top.bucket);
-  }
+  const auto slot = static_cast<std::uint32_t>(top.id & kSlotMask);
+  Fired fired{top.time, top.id, std::move(slots_[slot].fn)};
+  remove_at(0);
   // The moved-from callback is already empty; just recycle the slot.
-  recycle_slot(slot);
-  --live_;
+  release_slot(slot);
   return fired;
 }
 
 void EventQueue::remove_at(std::size_t pos) {
-  const std::size_t last = heap_.size() - 1;
-  const HeapEntry displaced = heap_[last];
+  const HeapEntry displaced = heap_.back();
   heap_.pop_back();
-  if (pos == last) return;
+  const std::size_t n = heap_.size();
+  if (pos == n) return;
   // Percolate the hole down the min-child chain to a leaf, then drop the
-  // displaced last element into it and bubble up (bottom-up deletion —
-  // fewer comparisons than classic sift-down because the displaced element
-  // is leaf-sized and rarely travels far).
-  const std::size_t n = last;
+  // displaced last element into it and bubble up (bottom-up deletion:
+  // fewer comparisons than classic sift-down, because the displaced
+  // element is leaf-sized and rarely travels far).
   while (true) {
     const std::size_t first_child = 4 * pos + 1;
     if (first_child >= n) break;
     std::size_t best = first_child;
-    if (first_child + 3 < n) {
-      // All four children exist: pairwise tournament (better ILP than a
-      // sequential scan).
-      const std::size_t m1 =
-          heap_[first_child + 1].time < heap_[first_child].time
-              ? first_child + 1
-              : first_child;
-      const std::size_t m2 =
-          heap_[first_child + 3].time < heap_[first_child + 2].time
-              ? first_child + 3
-              : first_child + 2;
-      best = heap_[m2].time < heap_[m1].time ? m2 : m1;
-    } else {
-      for (std::size_t c = first_child + 1; c < n; ++c) {
-        if (heap_[c].time < heap_[best].time) best = c;
-      }
+    const std::size_t end = first_child + 4 < n ? first_child + 4 : n;
+    for (std::size_t c = first_child + 1; c < end; ++c) {
+      if (before(heap_[c], heap_[best])) best = c;
     }
     place(pos, heap_[best]);
     pos = best;
@@ -271,7 +75,7 @@ void EventQueue::remove_at(std::size_t pos) {
 void EventQueue::sift_up(std::size_t i, HeapEntry moving) {
   while (i > 0) {
     const std::size_t parent = (i - 1) / 4;
-    if (moving.time >= heap_[parent].time) break;
+    if (!before(moving, heap_[parent])) break;
     place(i, heap_[parent]);
     i = parent;
   }

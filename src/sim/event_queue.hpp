@@ -1,10 +1,7 @@
 #pragma once
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <new>
 #include <vector>
 
 #include "sim/inline_function.hpp"
@@ -18,23 +15,17 @@ namespace sf::sim {
 /// monotonically increasing EventId), which makes every simulation run
 /// bit-reproducible.
 ///
-/// Implementation: discrete-event workloads schedule many events at few
-/// distinct instants (batch arrivals, quantized delays, simultaneous
-/// completions), so the priority structure orders *timestamps*, not events.
-/// An indexed 4-ary min-heap holds one entry per distinct pending time;
-/// same-instant events chain FIFO through intrusive lists in the slot
-/// arrays. Scheduling into an existing instant and popping a non-final
-/// event of an instant are O(1) list operations — the O(log n) heap is only
-/// touched when a new distinct time appears or an instant drains. A flat
-/// open-addressing table (no allocation per event, backward-shift deletion)
-/// maps timestamps to their heap bucket.
+/// Implementation: an indexed 4-ary min-heap with one 16-byte entry per
+/// pending event, ordered by (time, EventId). Ids grow with every
+/// schedule(), so the id tie-break is the same-instant FIFO. The
+/// simulator's workloads schedule almost every event at a time no other
+/// pending event has (DESIGN §5 gives the counts), so a per-event heap is
+/// all the ordering they need.
 ///
-/// Callbacks live inline in chunked slot storage (free-list reuse, stable
-/// addresses, no per-event allocation for small captures thanks to
-/// InlineFunction). Each bucket tracks its heap position, so cancel()
-/// removes eagerly — O(1) for same-instant siblings, O(log n) when the
-/// instant drains — and the heap never carries tombstones; pop() never
-/// scans dead tops.
+/// Callbacks live in a slot vector reused through a free list (no
+/// per-event allocation for small captures thanks to InlineFunction). Each
+/// slot records its heap position, so cancel() removes the entry eagerly
+/// in O(log n) and the heap never carries tombstones.
 ///
 /// An EventId encodes (sequence << 24) | slot. The sequence number strictly
 /// increases with every schedule() call, so ids remain monotonic even when
@@ -46,7 +37,6 @@ class EventQueue {
   using Callback = InlineFunction;
 
   EventQueue() = default;
-  ~EventQueue();  ///< destroys the slots placement-newed into raw chunks
 
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
@@ -59,10 +49,10 @@ class EventQueue {
   bool cancel(EventId id);
 
   /// True when no live events remain.
-  [[nodiscard]] bool empty() const { return live_ == 0; }
+  [[nodiscard]] bool empty() const { return heap_.empty(); }
 
   /// Number of live (non-cancelled, not yet fired) events.
-  [[nodiscard]] std::size_t size() const { return live_; }
+  [[nodiscard]] std::size_t size() const { return heap_.size(); }
 
   /// Time of the earliest live event; kTimeInfinity when empty.
   [[nodiscard]] SimTime next_time() const {
@@ -87,67 +77,25 @@ class EventQueue {
   /// Low bits of an EventId addressing the callback slot.
   static constexpr unsigned kSlotBits = 24;
   static constexpr EventId kSlotMask = (EventId{1} << kSlotBits) - 1;
-  static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
 
-  /// One distinct pending instant: an intrusive FIFO of event slots.
-  struct Bucket {
-    SimTime time = 0;
-    std::uint32_t head = kNil;
-    std::uint32_t tail = kNil;
-    std::uint32_t heap_pos = 0;
-  };
-
-  /// 16 bytes; buckets hold distinct times, so comparisons need no
-  /// tie-break.
   struct HeapEntry {
     SimTime time;
-    std::uint32_t bucket;
+    EventId id;  ///< tie-break, and its low bits name the slot
   };
 
-  /// Flat open-addressing map from a timestamp's bit pattern to its bucket
-  /// index. Linear probing, power-of-two capacity, backward-shift deletion
-  /// (no tombstones), no per-entry allocation.
-  class TimeIndex {
-   public:
-    static constexpr std::uint32_t kEmpty = kNil;
-
-    /// Returns the value cell for `key`, inserting an empty cell (value
-    /// kEmpty) when absent — the caller fills it immediately.
-    std::uint32_t* find_or_insert(std::uint64_t key);
-    void erase(std::uint64_t key);
-
-   private:
-    struct Cell {
-      std::uint64_t key = 0;
-      std::uint32_t val = kEmpty;
-    };
-
-    [[nodiscard]] std::size_t ideal(std::uint64_t key) const {
-      // Fibonacci multiplicative hash, keeping the TOP log2(capacity) bits
-      // of the product: they mix every input bit, so the near-identical
-      // bit patterns of small integral timestamps still spread evenly
-      // (low/middle product bits cluster badly — dozens of probes).
-      return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >>
-                                      shift_);
-    }
-    void grow();
-
-    std::vector<Cell> cells_;
-    std::size_t mask_ = 0;   ///< capacity - 1; 0 until first insert
-    unsigned shift_ = 64;    ///< 64 - log2(capacity)
-    std::size_t count_ = 0;
-    std::size_t grow_at_ = 0;  ///< rehash once count_ reaches this
-  };
-
-  /// Canonical hashable representation of a timestamp (-0.0 folds into
-  /// +0.0 so both land in the same bucket).
-  static std::uint64_t time_key(SimTime t) {
-    return std::bit_cast<std::uint64_t>(t == 0.0 ? 0.0 : t);
+  static bool before(const HeapEntry& a, const HeapEntry& b) {
+    return a.time < b.time || (a.time == b.time && a.id < b.id);
   }
+
+  struct Slot {
+    EventId id = kNoEvent;  ///< Full id occupying this slot; kNoEvent = free.
+    std::uint32_t heap_pos = 0;
+    Callback fn;
+  };
 
   void place(std::size_t i, const HeapEntry& e) {
     heap_[i] = e;
-    buckets_[e.bucket].heap_pos = static_cast<std::uint32_t>(i);
+    slots_[e.id & kSlotMask].heap_pos = static_cast<std::uint32_t>(i);
   }
 
   void sift_up(std::size_t i, HeapEntry moving);
@@ -155,50 +103,11 @@ class EventQueue {
   /// percolates the hole to a leaf along the min-child chain, then bubbles
   /// the displaced last element up from there (bottom-up deletion).
   void remove_at(std::size_t pos);
-  /// Detaches a drained bucket from heap, index and bucket free-list.
-  void retire_bucket(std::uint32_t bucket);
-  std::uint32_t alloc_slot();
-  void recycle_slot(std::uint32_t slot);
+  void release_slot(std::uint32_t slot);
 
-  /// One live event: FIFO back-link + owning bucket + the callback itself
-  /// (96 bytes). Keeping the callback next to the metadata means pop
-  /// touches two adjacent cache lines per event instead of one per
-  /// parallel array. The forward link deliberately lives OUTSIDE the slot
-  /// in the compact next_ array: appending to a bucket writes the previous
-  /// tail's forward link, and that random-stride write should land in the
-  /// small hot array, not drag the tail's whole slot line in.
-  struct Slot {
-    EventId id = kNoEvent;  ///< Full id occupying this slot; kNoEvent = free.
-    std::uint32_t prev = kNil;
-    std::uint32_t bucket = kNil;
-    Callback fn;
-  };
-
-  /// Slot storage in fixed chunks of raw memory: growing never relocates
-  /// existing slots, so scheduling bursts pay no InlineFunction move
-  /// traffic and Fired callbacks are moved straight out of stable
-  /// addresses. Chunks are left uninitialised; a Slot is placement-newed
-  /// the first time its index is handed out (alloc_slot), so opening a
-  /// chunk costs one allocation and nothing per slot — small simulations
-  /// never pay for the slots they don't use.
-  static constexpr unsigned kChunkShift = 8;
-  static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkShift;
-
-  Slot& slot_at(std::uint32_t slot) {
-    std::byte* base = slot_chunks_[slot >> kChunkShift].get();
-    return *std::launder(reinterpret_cast<Slot*>(
-        base + (slot & (kChunkSize - 1)) * sizeof(Slot)));
-  }
-
-  std::vector<HeapEntry> heap_;  ///< one entry per distinct pending time
-  std::vector<Bucket> buckets_;
-  std::vector<std::uint32_t> free_buckets_;
-  TimeIndex index_;
-  std::vector<std::unique_ptr<std::byte[]>> slot_chunks_;
-  std::vector<std::uint32_t> next_;  ///< forward FIFO link per slot
-  std::uint32_t slot_count_ = 0;     ///< slots ever allocated (chunk fill)
+  std::vector<HeapEntry> heap_;  ///< one entry per pending event
+  std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
-  std::size_t live_ = 0;
   std::uint64_t total_scheduled_ = 0;
 };
 

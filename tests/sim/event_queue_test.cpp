@@ -160,8 +160,8 @@ TEST(EventQueue, CancelHalfPreservesFiringOrderAndCounts) {
 }
 
 TEST(EventQueue, CancelLastEventOfInstantThenReuseInstant) {
-  // Cancelling the sole event of an instant retires its bucket; scheduling
-  // the same time again must create a fresh FIFO, not resurrect the old.
+  // Cancelling the sole event of an instant empties it; scheduling the same
+  // time again must fire the new events in order, not resurrect the old.
   EventQueue q;
   int fired = 0;
   const EventId a = q.schedule(5.0, [&] { fired += 1; });
@@ -187,7 +187,7 @@ TEST(EventQueue, NegativeZeroAndPositiveZeroShareAnInstant) {
 }
 
 TEST(EventQueue, StressManyInstantsWithInterleavedCancellation) {
-  // Enough churn to cross chunk boundaries and recycle slots repeatedly.
+  // Enough churn to grow the slot table and recycle slots repeatedly.
   EventQueue q;
   std::vector<EventId> pending;
   std::uint64_t scheduled = 0;

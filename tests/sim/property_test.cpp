@@ -26,11 +26,15 @@ TEST_P(EventQueueModelTest, MatchesMultimapReference) {
 
   std::vector<EventId> fired;
   std::vector<std::pair<SimTime, EventId>> expected;
+  // About half the events share a few fixed instants (both spellings of
+  // zero among them), so ties are scheduled, cancelled and popped too.
+  const std::vector<SimTime> instants = {0.0, -0.0, 1.0, 50.0};
 
   for (int op = 0; op < 2000; ++op) {
     const double p = rng.uniform(0, 1);
     if (p < 0.6 || live_ids.empty()) {
-      const SimTime t = rng.uniform(0, 100);
+      const SimTime t =
+          rng.chance(0.5) ? rng.pick(instants) : rng.uniform(0, 100);
       EventId captured = 0;
       const EventId id = queue.schedule(t, [] {});
       captured = id;
