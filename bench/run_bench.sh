@@ -12,36 +12,60 @@
 #
 # Usage:
 #   bench/run_bench.sh [build-dir] [repetitions] [--rebaseline]
+#                      [--only engine|fullstack|scale]
 #
 # Defaults: build-dir = ./build, repetitions = 5. Existing BENCH_*.json
 # files are treated as the committed baseline: the script prints the
 # per-benchmark speedup of the current build against them and REFUSES to
 # overwrite them unless --rebaseline is given. Re-baseline only together
 # with the change that produced the new numbers.
+#
+# --only runs one section and touches only its file: engine (the
+# micro-benchmarks, BENCH_engine.json), fullstack (the figure binaries
+# plus the gray and catalog ablation tables, BENCH_fullstack.json) or
+# scale (scale_sweep, BENCH_scale.json). Without it, all three run.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 rebaseline=0
+only=""
 pos=()
-for arg in "$@"; do
-  case "$arg" in
+while (($#)); do
+  case "$1" in
     --rebaseline) rebaseline=1 ;;
-    *) pos+=("$arg") ;;
+    --only)
+      only="${2:?--only takes engine, fullstack or scale}"
+      shift
+      ;;
+    *) pos+=("$1") ;;
   esac
+  shift
 done
+case "$only" in
+  "" | engine | fullstack | scale) ;;
+  *)
+    echo "error: --only takes engine, fullstack or scale" >&2
+    exit 2
+    ;;
+esac
 build_dir="${pos[0]:-$repo_root/build}"
 reps="${pos[1]:-5}"
 bench_bin="$build_dir/bench/micro_engine"
 engine_json="$repo_root/BENCH_engine.json"
 fullstack_json="$repo_root/BENCH_fullstack.json"
 
+# True when section <name> runs: always without --only.
+#   wants <name>
+wants() { [[ -z "$only" || "$only" == "$1" ]]; }
+
+# ---- Engine + control-plane micro-benchmarks ------------------------------
+
+if wants engine; then
 if [[ ! -x "$bench_bin" ]]; then
   echo "error: $bench_bin not found or not executable." >&2
   echo "Build it first: cmake -B build -S . && cmake --build build -j" >&2
   exit 1
 fi
-
-# ---- Engine + control-plane micro-benchmarks ------------------------------
 
 filter='BM_EventQueueScheduleAndPop|BM_EventQueueCancelHeavy|BM_EventQueueMixedSchedule|BM_EventQueueSteadyWindow|BM_SimulationEventChurn|BM_PsResourceChurn|BM_FlowNetworkFanout|BM_ApiServerWatchFanout|BM_SchedulerBurst|BM_KpaObserve|BM_CondorNegotiate|BM_TraceRecordHotPath|BM_TraceRecordGated|BM_WatchFanoutNodeScoped|BM_SchedulerScaled|BM_SchedulePodScaled|BM_EndpointsChurn|BM_HeartbeatTick|BM_LifecycleSweep|BM_NodeEviction|BM_DeploymentReconcile|BM_HistogramRecord|BM_RouterPickBackend|BM_CatalogLookup|BM_CatalogLookupMap|BM_PlanLayered|BM_CondorMatchIdle'
 raw_json="$(mktemp)"
@@ -129,8 +153,11 @@ with open(out_path, "w") as f:
     f.write("\n")
 print(f"wrote {out_path} ({len(results)} benchmarks)")
 PY
+fi
 
 # ---- Full-stack figure binaries -------------------------------------------
+
+if wants fullstack; then
 
 python3 - "$build_dir" "$fullstack_json" "$rebaseline" <<'PY'
 import json
@@ -348,8 +375,11 @@ with open(out_path, "w") as f:
 print(f"recorded catalog ablation ({len(rows)} rows, "
       f"{len(stampede)} stampede rows) in {out_path}")
 PY
+fi
 
 # ---- Scale sweep curve ----------------------------------------------------
+
+if wants scale; then
 
 scale_json="$repo_root/BENCH_scale.json"
 scale_bin="$build_dir/bench/scale_sweep"
@@ -428,3 +458,4 @@ with open(out_path, "w") as f:
     f.write("\n")
 print(f"wrote {out_path} ({len(rows)} points, {total:.1f} s total)")
 PY
+fi

@@ -1,6 +1,8 @@
 #include "condor/dagman.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -13,40 +15,45 @@ void DagMan::add_node(DagNode node) {
   if (running_) {
     throw std::logic_error("DagMan: cannot add nodes while running");
   }
-  if (nodes_.contains(node.name)) {
+  const auto index = static_cast<NodeIndex>(nodes_.size());
+  if (!index_.emplace(node.name, index).second) {
     throw std::invalid_argument("DagMan: duplicate node " + node.name);
   }
-  Node n;
-  n.spec = std::move(node);
-  nodes_.emplace(n.spec.name, std::move(n));
+  nodes_.emplace_back().spec = std::move(node);
 }
 
 void DagMan::validate_and_link() {
-  for (auto& [name, node] : nodes_) {
+  by_name_.resize(nodes_.size());
+  std::iota(by_name_.begin(), by_name_.end(), NodeIndex{0});
+  std::sort(by_name_.begin(), by_name_.end(), [this](NodeIndex a, NodeIndex b) {
+    return nodes_[a].spec.name < nodes_[b].spec.name;
+  });
+  for (const NodeIndex i : by_name_) {
+    Node& node = nodes_[i];
     node.unfinished_parents = node.spec.parents.size();
     for (const auto& parent : node.spec.parents) {
-      auto it = nodes_.find(parent);
-      if (it == nodes_.end()) {
+      const auto it = index_.find(parent);
+      if (it == index_.end()) {
         throw std::invalid_argument("DagMan: unknown parent " + parent +
-                                    " of " + name);
+                                    " of " + node.spec.name);
       }
-      it->second.children.push_back(name);
+      nodes_[it->second].children.push_back(i);
     }
   }
   // Cycle check: Kahn's algorithm over parent counts.
-  std::vector<std::string> frontier;
-  std::map<std::string, std::size_t> degree;
-  for (const auto& [name, node] : nodes_) {
-    degree[name] = node.spec.parents.size();
-    if (node.spec.parents.empty()) frontier.push_back(name);
+  std::vector<NodeIndex> frontier;
+  std::vector<std::size_t> degree(nodes_.size());
+  for (NodeIndex i = 0; i < nodes_.size(); ++i) {
+    degree[i] = nodes_[i].spec.parents.size();
+    if (degree[i] == 0) frontier.push_back(i);
   }
   std::size_t visited = 0;
   while (!frontier.empty()) {
-    const std::string current = frontier.back();
+    const NodeIndex current = frontier.back();
     frontier.pop_back();
     ++visited;
-    for (const auto& child : nodes_.at(current).children) {
-      if (--degree.at(child) == 0) frontier.push_back(child);
+    for (const NodeIndex child : nodes_[current].children) {
+      if (--degree[child] == 0) frontier.push_back(child);
     }
   }
   if (visited != nodes_.size()) {
@@ -65,10 +72,11 @@ void DagMan::run(std::function<void(bool)> on_finish) {
   failed_ = false;
   on_finish_ = std::move(on_finish);
   start_time_ = pool_.sim().now();
-  for (auto& [name, node] : nodes_) {
+  for (const NodeIndex i : by_name_) {
+    Node& node = nodes_[i];
     if (node.unfinished_parents == 0) {
       node.state = NodeState::kReady;
-      ready_.push_back(name);
+      ready_.push_back(i);
     }
   }
   submit_ready();  // roots go straight to the schedd
@@ -80,43 +88,36 @@ void DagMan::submit_ready() {
         submitted_live_ >= static_cast<std::size_t>(config_.max_jobs)) {
       return;  // throttled; resumes when something completes
     }
-    const std::string name = ready_.front();
-    ready_.erase(ready_.begin());
-    Node& node = nodes_.at(name);
+    const NodeIndex i = ready_.front();
+    ready_.pop_front();
+    Node& node = nodes_[i];
     node.state = NodeState::kSubmitted;
     ++node.attempts;
     ++submitted_live_;
     JobSpec spec = node.spec.job;
-    spec.name = name;
-    spec.on_done = [this, name](const JobRecord& rec) {
-      on_job_done(name, rec);
-    };
+    spec.name = node.spec.name;
+    spec.on_done = [this, i](const JobRecord& rec) { on_job_done(i, rec); };
     node.last_job = pool_.submit(std::move(spec));
   }
 }
 
-void DagMan::on_job_done(const std::string& node_name,
-                         const JobRecord& rec) {
+void DagMan::on_job_done(NodeIndex i, const JobRecord& rec) {
   // The POST script (exitcode check) runs first; its runtime delays when
   // DAGMan can observe the node's outcome.
+  const JobState state = rec.state;
   if (config_.post_script_s > 0) {
-    const JobState state = rec.state;
-    pool_.sim().call_in(config_.post_script_s, [this, node_name, state] {
-      JobRecord copy;
-      copy.state = state;
-      handle_node_exit(node_name, copy);
-    });
+    pool_.sim().call_in(config_.post_script_s,
+                        [this, i, state] { handle_node_exit(i, state); });
     return;
   }
-  handle_node_exit(node_name, rec);
+  handle_node_exit(i, state);
 }
 
-void DagMan::handle_node_exit(const std::string& node_name,
-                              const JobRecord& rec) {
-  Node& node = nodes_.at(node_name);
+void DagMan::handle_node_exit(NodeIndex i, JobState state) {
+  Node& node = nodes_[i];
   --submitted_live_;
-  if (rec.state == JobState::kCompleted) {
-    completed_events_.push_back(node_name);
+  if (state == JobState::kCompleted) {
+    completed_events_.push_back(i);
     arm_scan();
     return;
   }
@@ -124,7 +125,7 @@ void DagMan::handle_node_exit(const std::string& node_name,
   if (node.attempts <= node.spec.retries) {
     ++retries_used_;
     node.state = NodeState::kReady;
-    ready_.push_back(node_name);
+    ready_.push_back(i);
     arm_scan();
     return;
   }
@@ -148,16 +149,16 @@ void DagMan::scan() {
   scan_armed_ = false;
   if (!running_) return;
   // Process completions observed in this scan.
-  for (const auto& name : completed_events_) {
-    Node& node = nodes_.at(name);
+  for (const NodeIndex i : completed_events_) {
+    Node& node = nodes_[i];
     node.state = NodeState::kDone;
     ++completed_;
-    for (const auto& child_name : node.children) {
-      Node& child = nodes_.at(child_name);
+    for (const NodeIndex c : node.children) {
+      Node& child = nodes_[c];
       if (--child.unfinished_parents == 0 &&
           child.state == NodeState::kWaiting) {
         child.state = NodeState::kReady;
-        ready_.push_back(child_name);
+        ready_.push_back(c);
       }
     }
   }
@@ -183,7 +184,7 @@ void DagMan::finish(bool success) {
 
 DagMan::StateCounts DagMan::state_counts() const {
   StateCounts c;
-  for (const auto& [name, node] : nodes_) {
+  for (const Node& node : nodes_) {
     switch (node.state) {
       case NodeState::kWaiting:
         ++c.waiting;
@@ -226,19 +227,22 @@ std::vector<std::string> DagMan::self_check() const {
     out.push_back("submitted tally " + std::to_string(c.submitted) +
                   " below live counter " + std::to_string(submitted_live_));
   }
-  for (const auto& name : ready_) {
-    const auto it = nodes_.find(name);
-    if (it == nodes_.end() || it->second.state != NodeState::kReady) {
-      out.push_back("ready queue holds non-ready node " + name);
+  for (const NodeIndex i : ready_) {
+    if (nodes_[i].state != NodeState::kReady) {
+      out.push_back("ready queue holds non-ready node " + nodes_[i].spec.name);
     }
   }
-  for (const auto& name : completed_events_) {
-    const auto it = nodes_.find(name);
-    if (it == nodes_.end() || it->second.state != NodeState::kSubmitted) {
-      out.push_back("completion backlog holds non-submitted node " + name);
+  for (const NodeIndex i : completed_events_) {
+    if (nodes_[i].state != NodeState::kSubmitted) {
+      out.push_back("completion backlog holds non-submitted node " +
+                    nodes_[i].spec.name);
     }
   }
-  for (const auto& [name, node] : nodes_) {
+  // Name order. Nodes added after the last run() were never submitted, so
+  // none of these checks can fail for one that by_name_ does not list yet.
+  for (const NodeIndex i : by_name_) {
+    const Node& node = nodes_[i];
+    const std::string& name = node.spec.name;
     if (node.attempts > node.spec.retries + 1) {
       out.push_back("node " + name + " ran " +
                     std::to_string(node.attempts) +
@@ -261,9 +265,11 @@ std::vector<std::string> DagMan::self_check() const {
 }
 
 const JobRecord* DagMan::node_record(const std::string& name) const {
-  auto it = nodes_.find(name);
-  if (it == nodes_.end() || it->second.last_job == kNoJob) return nullptr;
-  return pool_.job(it->second.last_job);
+  const auto it = index_.find(name);
+  if (it == index_.end() || nodes_[it->second].last_job == kNoJob) {
+    return nullptr;
+  }
+  return pool_.job(nodes_[it->second].last_job);
 }
 
 }  // namespace sf::condor

@@ -1,8 +1,10 @@
 #pragma once
 
+#include <cstdint>
+#include <deque>
 #include <functional>
-#include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "condor/pool.hpp"
@@ -82,28 +84,36 @@ class DagMan {
 
  private:
   enum class NodeState { kWaiting, kReady, kSubmitted, kDone, kFailed };
+  /// A node's position in nodes_; local to this DagMan.
+  using NodeIndex = std::uint32_t;
   struct Node {
     DagNode spec;
     NodeState state = NodeState::kWaiting;
     std::size_t unfinished_parents = 0;
-    std::vector<std::string> children;
+    std::vector<NodeIndex> children;  ///< in name order
     int attempts = 0;
     JobId last_job = kNoJob;
   };
 
+  /// Sorts the nodes by name into by_name_, resolves parent names, lists
+  /// each node's children in name order and checks for cycles. run()
+  /// queues the roots in the same order. That order fixes the submit
+  /// order, and with it JobIds and claim choices.
   void validate_and_link();
   void scan();
   void arm_scan();
   void submit_ready();
-  void on_job_done(const std::string& node_name, const JobRecord& rec);
-  void handle_node_exit(const std::string& node_name, const JobRecord& rec);
+  void on_job_done(NodeIndex i, const JobRecord& rec);
+  void handle_node_exit(NodeIndex i, JobState state);
   void finish(bool success);
 
   CondorPool& pool_;
   DagConfig config_;
-  std::map<std::string, Node> nodes_;
-  std::vector<std::string> ready_;      // FIFO of submittable nodes
-  std::vector<std::string> completed_events_;  // awaiting next scan
+  std::vector<Node> nodes_;                           // add order
+  std::unordered_map<std::string, NodeIndex> index_;  // name → position
+  std::vector<NodeIndex> by_name_;  // every node, in name order, from run()
+  std::deque<NodeIndex> ready_;     // FIFO of submittable nodes
+  std::vector<NodeIndex> completed_events_;  // awaiting next scan
   bool running_ = false;
   bool scan_armed_ = false;
   bool failed_ = false;

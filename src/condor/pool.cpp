@@ -58,42 +58,40 @@ Startd& CondorPool::startd(const std::string& node_name) {
 }
 
 void CondorPool::enqueue_idle(JobId id) {
-  const int prio = jobs_.at(id).spec.priority;
+  const int prio = record(id).spec.priority;
   // First position whose job has strictly lower priority: equal-priority
   // jobs keep submission order, matching the old stable_sort exactly.
   const auto pos = std::upper_bound(
       idle_queue_.begin(), idle_queue_.end(), prio,
-      [this](int p, JobId j) { return p > jobs_.at(j).spec.priority; });
+      [this](int p, JobId j) { return p > record(j).spec.priority; });
   idle_queue_.insert(pos, id);
 }
 
 JobId CondorPool::submit(JobSpec spec) {
-  const JobId id = next_job_++;
-  JobRecord rec;
-  rec.id = id;
+  JobRecord& rec = jobs_.emplace_back();
+  rec.id = jobs_.size();
   rec.spec = std::move(spec);
   rec.state = JobState::kIdle;
   rec.submit_time = sim().now();
-  jobs_.emplace(id, std::move(rec));
+  const JobId id = rec.id;
   enqueue_idle(id);
   sim().trace().record(sim().now(), "condor", "submit",
-                       {{"job", jobs_.at(id).spec.name}});
+                       {{"job", rec.spec.name}});
   pump_dispatch();
   kick_if_unmatched();
   return id;
 }
 
 bool CondorPool::remove(JobId id) {
-  auto it = jobs_.find(id);
-  if (it == jobs_.end() || it->second.state != JobState::kIdle) return false;
-  it->second.state = JobState::kRemoved;
+  const JobRecord* rec = job(id);
+  if (rec == nullptr || rec->state != JobState::kIdle) return false;
+  record(id).state = JobState::kRemoved;
   std::erase(idle_queue_, id);
   return true;
 }
 
 const JobRecord* CondorPool::job(JobId id) const {
-  auto it = jobs_.find(id);
-  return it == jobs_.end() ? nullptr : &it->second;
+  return id == kNoJob || id > jobs_.size() ? nullptr : &record(id);
 }
 
 std::size_t CondorPool::idle_jobs() const { return idle_queue_.size(); }
@@ -144,7 +142,7 @@ bool CondorPool::has_unmatched_idle() {
   ++match_stamp_;
   ShapeCursors cursors;
   for (const JobId jid : idle_queue_) {
-    if (!reserve_claim(jobs_.at(jid), cursors)) return true;
+    if (!reserve_claim(record(jid), cursors)) return true;
   }
   return false;
 }
@@ -175,7 +173,7 @@ void CondorPool::negotiate() {
   ShapeCursors claim_cursors;
   std::size_t cursor = 0;
   for (const JobId jid : idle_queue_) {
-    const JobRecord& rec = jobs_.at(jid);
+    const JobRecord& rec = record(jid);
     if (reserve_claim(rec, claim_cursors)) continue;
     for (std::size_t i = 0; i < fill_order_.size(); ++i) {
       Startd& sd = *fill_order_[(cursor + i) % fill_order_.size()];
@@ -216,7 +214,7 @@ void CondorPool::pump_dispatch() {
   JobId jid = kNoJob;
   ClaimId chosen = 0;
   for (const JobId candidate : idle_queue_) {
-    const JobRecord& rec = jobs_.at(candidate);
+    const JobRecord& rec = record(candidate);
     for (auto& [cid, claim] : claims_) {
       if (claim_fits(claim, rec)) {
         jid = candidate;
@@ -234,10 +232,11 @@ void CondorPool::pump_dispatch() {
   Claim& cl = claims_.at(chosen);
   cl.busy = true;
   cl.job = jid;
-  jobs_.at(jid).state = JobState::kRunning;
+  JobRecord& rec = record(jid);
+  rec.state = JobState::kRunning;
   ++running_;
   dispatch_busy_ = true;
-  const std::uint64_t epoch = jobs_.at(jid).attempt;
+  const std::uint64_t epoch = rec.attempt;
   // Serialized activation: the shadow-spawn pipeline.
   sim().call_in(config_.dispatch_interval_s, [this, jid, chosen, epoch] {
     dispatch_busy_ = false;
@@ -247,14 +246,14 @@ void CondorPool::pump_dispatch() {
 }
 
 bool CondorPool::attempt_live(JobId id, std::uint64_t epoch) const {
-  const auto it = jobs_.find(id);
-  return it != jobs_.end() && it->second.attempt == epoch &&
-         it->second.state == JobState::kRunning;
+  const JobRecord* rec = job(id);
+  return rec != nullptr && rec->attempt == epoch &&
+         rec->state == JobState::kRunning;
 }
 
 void CondorPool::start_job(JobId id, ClaimId claim_id, std::uint64_t epoch) {
   const Claim& claim = claims_.at(claim_id);
-  JobRecord& rec = jobs_.at(id);
+  JobRecord& rec = record(id);
   rec.worker = claim.node_name;
   sim().trace().record(sim().now(), "condor", "job_start",
                        {{"job", rec.spec.name}, {"node", claim.node_name}});
@@ -266,9 +265,9 @@ void CondorPool::start_job(JobId id, ClaimId claim_id, std::uint64_t epoch) {
     Startd& sd = *claims_.at(claim_id).startd;
     // Stage inputs sequentially, as pegasus-lite does.
     sim::for_each_async(
-        jobs_.at(id).spec.inputs.size(),
+        record(id).spec.inputs.size(),
         [this, id, epoch, &sd](std::size_t i, sim::AsyncNext next) {
-          const JobSpec& spec = jobs_.at(id).spec;
+          const JobSpec& spec = record(id).spec;
           if (spec.submit_volume == nullptr) {
             next(false);
             return;
@@ -293,7 +292,7 @@ void CondorPool::start_job(JobId id, ClaimId claim_id, std::uint64_t epoch) {
 
 void CondorPool::run_executable(JobId id, ClaimId claim_id,
                                 std::uint64_t epoch) {
-  JobRecord& rec = jobs_.at(id);
+  JobRecord& rec = record(id);
   rec.start_time = sim().now();
   Startd& sd = *claims_.at(claim_id).startd;
   auto ctx = std::make_shared<ExecContext>();
@@ -314,9 +313,9 @@ void CondorPool::run_executable(JobId id, ClaimId claim_id,
     // Stage outputs back to the submit node sequentially.
     Startd& sd2 = *claims_.at(claim_id).startd;
     sim::for_each_async(
-        jobs_.at(id).spec.outputs.size(),
+        record(id).spec.outputs.size(),
         [this, id, epoch, &sd2](std::size_t i, sim::AsyncNext next) {
-          const JobSpec& spec = jobs_.at(id).spec;
+          const JobSpec& spec = record(id).spec;
           if (spec.submit_volume == nullptr) {
             next(false);
             return;
@@ -337,7 +336,7 @@ void CondorPool::run_executable(JobId id, ClaimId claim_id,
 void CondorPool::finish_job(JobId id, ClaimId claim_id, std::uint64_t epoch,
                             bool ok) {
   if (!attempt_live(id, epoch)) return;
-  JobRecord& rec = jobs_.at(id);
+  JobRecord& rec = record(id);
   rec.state = ok ? JobState::kCompleted : JobState::kFailed;
   rec.end_time = sim().now();
   --running_;
@@ -362,7 +361,7 @@ void CondorPool::finish_job(JobId id, ClaimId claim_id, std::uint64_t epoch,
 }
 
 void CondorPool::abort_job(JobId id) {
-  JobRecord& rec = jobs_.at(id);
+  JobRecord& rec = record(id);
   if (rec.state != JobState::kRunning) return;
   rec.state = JobState::kFailed;
   rec.end_time = sim().now();
@@ -416,7 +415,7 @@ std::vector<std::string> CondorPool::self_check() const {
   std::size_t running = 0;
   std::uint64_t completed = 0;
   std::uint64_t failed = 0;
-  for (const auto& [id, rec] : jobs_) {
+  for (const JobRecord& rec : jobs_) {
     switch (rec.state) {
       case JobState::kIdle:
         ++idle;
@@ -451,8 +450,8 @@ std::vector<std::string> CondorPool::self_check() const {
                   std::to_string(idle_queue_.size()));
   }
   for (const JobId jid : idle_queue_) {
-    const auto it = jobs_.find(jid);
-    if (it == jobs_.end() || it->second.state != JobState::kIdle) {
+    const JobRecord* rec = job(jid);
+    if (rec == nullptr || rec->state != JobState::kIdle) {
       out.push_back("idle queue holds non-idle job " + std::to_string(jid));
     }
   }
@@ -471,14 +470,13 @@ std::vector<std::string> CondorPool::self_check() const {
     node_memory[claim.node_name] += claim.memory;
     ++node_claims[claim.node_name];
     if (claim.busy) {
-      const auto it = claim.job == kNoJob ? jobs_.end() : jobs_.find(claim.job);
-      if (it == jobs_.end() || it->second.state != JobState::kRunning) {
+      const JobRecord* rec = job(claim.job);
+      if (rec == nullptr || rec->state != JobState::kRunning) {
         out.push_back("busy claim " + std::to_string(cid) + " on " +
                       claim.node_name + " has no running job");
-      } else if (it->second.worker != claim.node_name &&
-                 !it->second.worker.empty()) {
+      } else if (rec->worker != claim.node_name && !rec->worker.empty()) {
         out.push_back("claim " + std::to_string(cid) + " node " +
-                      claim.node_name + " != job worker " + it->second.worker);
+                      claim.node_name + " != job worker " + rec->worker);
       }
     } else if (claim.job != kNoJob) {
       out.push_back("idle claim " + std::to_string(cid) +

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -149,6 +150,11 @@ class CondorPool {
   [[nodiscard]] bool reachable(const cluster::Node& node) const;
   /// Inserts into idle_queue_ keeping (priority desc, submission order).
   void enqueue_idle(JobId id);
+  /// The record of `id`, which must be a submitted job.
+  [[nodiscard]] JobRecord& record(JobId id) { return jobs_[id - 1]; }
+  [[nodiscard]] const JobRecord& record(JobId id) const {
+    return jobs_[id - 1];
+  }
 
   cluster::Cluster& cluster_;
   cluster::Node& submit_;
@@ -157,14 +163,16 @@ class CondorPool {
   std::map<std::string, std::unique_ptr<Startd>> startds_;
   std::vector<Startd*> fill_order_;  // negotiation fill order
 
-  std::map<JobId, JobRecord> jobs_;
+  /// Every submitted job, the one with id `id` at `id - 1`: ids are dense
+  /// from 1 and no record is erased. A deque, so that the JobRecord&
+  /// finish_job and abort_job hold across on_done survives a submit.
+  std::deque<JobRecord> jobs_;
   /// Idle jobs, maintained in dispatch order (priority desc, FIFO within
   /// a priority) — the order the former copy+stable_sort produced on
   /// every negotiation/dispatch pass.
   std::vector<JobId> idle_queue_;
   ClaimMap claims_;
   std::uint64_t match_stamp_ = 0;
-  JobId next_job_ = 1;
   ClaimId next_claim_ = 1;
   bool negotiator_armed_ = false;
   bool dispatch_busy_ = false;

@@ -86,6 +86,7 @@ std::vector<std::string> AbstractWorkflow::final_outputs() const {
   for (const auto& [lfn, producer] : producer_) {
     if (!consumed.contains(lfn)) out.push_back(lfn);
   }
+  std::sort(out.begin(), out.end());
   return out;
 }
 

@@ -1,8 +1,8 @@
 #pragma once
 
-#include <map>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace sf::pegasus {
@@ -56,7 +56,7 @@ class AbstractWorkflow {
   /// Files no job produces: must come from the replica catalog.
   [[nodiscard]] std::vector<std::string> initial_inputs() const;
 
-  /// Files no job consumes: the workflow's final products.
+  /// Files no job consumes: the workflow's final products, sorted.
   [[nodiscard]] std::vector<std::string> final_outputs() const;
 
   /// Parent job ids of `id`, inferred from file dependencies.
@@ -66,9 +66,9 @@ class AbstractWorkflow {
  private:
   std::string name_;
   std::vector<AbstractJob> jobs_;
-  std::map<std::string, std::size_t> index_;    // id → jobs_ position
-  std::map<std::string, double> files_;         // lfn → bytes
-  std::map<std::string, std::string> producer_;  // lfn → job id
+  std::unordered_map<std::string, std::size_t> index_;  // id → jobs_ position
+  std::unordered_map<std::string, double> files_;        // lfn → bytes
+  std::unordered_map<std::string, std::string> producer_;  // lfn → job id
 };
 
 }  // namespace sf::pegasus

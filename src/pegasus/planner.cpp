@@ -1,8 +1,11 @@
 #include "pegasus/planner.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <limits>
 #include <memory>
-#include <set>
+#include <span>
 #include <stdexcept>
 #include <string_view>
 #include <unordered_map>
@@ -144,16 +147,10 @@ JobMode Planner::mode_of(const AbstractJob& job) const {
                                              : it->second;
 }
 
-std::vector<storage::FileRef> Planner::file_refs(
-    const std::vector<std::string>& lfns) const {
-  std::vector<storage::FileRef> out;
-  out.reserve(lfns.size());
-  for (const auto& lfn : lfns) out.push_back({lfn, workflow_.file_bytes(lfn)});
-  return out;
-}
-
-condor::JobExecutable Planner::make_container(const AbstractJob& job,
-                                              const Transformation& t) const {
+condor::JobExecutable Planner::make_container(
+    const AbstractJob& job, const Transformation& t,
+    std::vector<storage::FileRef> inputs,
+    std::vector<storage::FileRef> outputs) const {
   if (options_.docker == nullptr || options_.registry == nullptr) {
     throw std::invalid_argument(
         "Planner: container mode requires docker + registry options");
@@ -163,8 +160,6 @@ condor::JobExecutable Planner::make_container(const AbstractJob& job,
     throw std::invalid_argument("Planner: image not in registry: " +
                                 t.container_image);
   }
-  std::vector<storage::FileRef> inputs = file_refs(job.inputs());
-  std::vector<storage::FileRef> outputs = file_refs(job.outputs());
   DockerEnv* docker = options_.docker;
   container::Registry* registry = options_.registry;
   const container::Image image = *manifest;
@@ -177,7 +172,8 @@ condor::JobExecutable Planner::make_container(const AbstractJob& job,
   cspec.boot_s = t.startup_s;
   const double work = t.work_coreseconds;
 
-  return [inputs, outputs, docker, registry, image, cspec, work](
+  return [inputs = std::move(inputs), outputs = std::move(outputs), docker,
+          registry, image, cspec, work](
              condor::ExecContext& ctx, std::function<void(bool)> done) {
     read_inputs(ctx, inputs, [&ctx, outputs, docker, registry, image, cspec,
                               work, done = std::move(done)](bool ok) mutable {
@@ -315,131 +311,226 @@ void Planner::add_stage_out(Plan& plan,
 
 // ---- plan() ------------------------------------------------------------------
 
+namespace {
+
+constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
+
+/// Sorts `v` by `key` and drops repeats: the contents and order a std::set
+/// ordered by `key` would hold.
+template <typename T, typename Key>
+void sort_unique(std::vector<T>& v, Key key) {
+  std::sort(v.begin(), v.end(),
+            [&key](const T& a, const T& b) { return key(a) < key(b); });
+  v.erase(std::unique(v.begin(), v.end(),
+                      [&key](const T& a, const T& b) {
+                        return key(a) == key(b);
+                      }),
+          v.end());
+}
+
+}  // namespace
+
 Plan Planner::plan() {
   Plan plan;
-
-  // Mode + transformation validation happens as we touch each job.
   const auto& jobs = workflow_.jobs();
+  const auto n = static_cast<std::uint32_t>(jobs.size());
+
+  // --- The plan's index. A job is its position in jobs(); a file gets an
+  // id at its first use. uses[first_use[j] .. first_use[j + 1]) are the
+  // files of jobs[j].uses, in order.
+  struct File {
+    std::string_view lfn;
+    double bytes = 0;
+    std::uint32_t producer = kNone;
+    std::vector<std::uint32_t> readers;
+  };
+  struct UseRef {
+    std::uint32_t file;
+    LinkType link;
+  };
+  std::vector<File> files;
+  std::vector<UseRef> uses;
+  std::vector<std::size_t> first_use(n + 1);
+  {
+    std::unordered_map<std::string_view, std::uint32_t> file_id;
+    for (std::uint32_t j = 0; j < n; ++j) {
+      first_use[j] = uses.size();
+      for (const Use& use : jobs[j].uses) {
+        const auto [it, fresh] = file_id.try_emplace(
+            use.lfn, static_cast<std::uint32_t>(files.size()));
+        if (fresh) {
+          files.push_back(
+              File{use.lfn, workflow_.file_bytes(use.lfn), kNone, {}});
+        }
+        File& file = files[it->second];
+        if (use.link == LinkType::kInput) {
+          file.readers.push_back(j);
+        } else {
+          file.producer = j;
+        }
+        uses.push_back({it->second, use.link});
+      }
+    }
+    first_use[n] = uses.size();
+  }
+  auto uses_of = [&uses, &first_use](std::uint32_t j) {
+    return std::span<const UseRef>(uses.data() + first_use[j],
+                                   uses.data() + first_use[j + 1]);
+  };
+  auto lfn_of = [&files](std::uint32_t f) { return files[f].lfn; };
+
+  // Parents are the distinct producers of a job's inputs. Chaining reads
+  // only how many parents and children a job has, and the single one.
+  std::vector<std::vector<std::uint32_t>> parents(n);
+  std::vector<std::vector<std::uint32_t>> children(n);
+  std::vector<JobMode> mode(n);
+  for (std::uint32_t j = 0; j < n; ++j) {
+    mode[j] = mode_of(jobs[j]);
+    auto& ps = parents[j];
+    for (const UseRef& use : uses_of(j)) {
+      const std::uint32_t producer = files[use.file].producer;
+      if (use.link == LinkType::kInput && producer != kNone) {
+        ps.push_back(producer);
+      }
+    }
+    std::sort(ps.begin(), ps.end());
+    ps.erase(std::unique(ps.begin(), ps.end()), ps.end());
+    for (const std::uint32_t p : ps) children[p].push_back(j);
+  }
 
   // --- Vertical clustering: group consecutive same-mode chain segments.
-  std::map<std::string, std::vector<std::string>> children;
-  std::map<std::string, std::vector<std::string>> parents;
-  for (const auto& j : jobs) {
-    parents[j.id] = workflow_.parents_of(j.id);
-    for (const auto& p : parents[j.id]) children[p].push_back(j.id);
-  }
-  auto chain_next = [&](const std::string& id) -> std::string {
-    const auto& ch = children[id];
-    if (ch.size() != 1) return {};
-    const std::string& next = ch.front();
-    if (parents[next].size() != 1) return {};
-    if (mode_of(workflow_.job(next)) != mode_of(workflow_.job(id))) return {};
+  auto chain_next = [&](std::uint32_t j) {
+    if (children[j].size() != 1) return kNone;
+    const std::uint32_t next = children[j].front();
+    if (parents[next].size() != 1 || mode[next] != mode[j]) return kNone;
     return next;
   };
-  auto has_chain_prev = [&](const std::string& id) {
-    const auto& ps = parents[id];
-    if (ps.size() != 1) return false;
-    return chain_next(ps.front()) == id;
+  auto has_chain_prev = [&](std::uint32_t j) {
+    return parents[j].size() == 1 && chain_next(parents[j].front()) == j;
   };
 
   struct Group {
     std::string name;
-    std::vector<std::string> members;  // topological order
+    std::vector<std::uint32_t> members;  // topological order
   };
   std::vector<Group> groups;
-  std::map<std::string, std::string> rep;  // job id → group name
+  std::vector<std::uint32_t> group(n, kNone);  // job → groups position
   const int k = std::max(1, options_.cluster_size);
-  for (const auto& j : jobs) {
-    if (rep.contains(j.id) || (k > 1 && has_chain_prev(j.id))) continue;
+  for (std::uint32_t j = 0; j < n; ++j) {
+    if (group[j] != kNone || (k > 1 && has_chain_prev(j))) continue;
     // Walk the chain from this head, splitting into groups of size k.
-    std::string current = j.id;
-    while (!current.empty()) {
+    std::uint32_t current = j;
+    while (current != kNone) {
       Group g;
-      for (int n = 0; n < k && !current.empty(); ++n) {
+      for (int m = 0; m < k && current != kNone; ++m) {
         g.members.push_back(current);
-        current = k > 1 ? chain_next(current) : std::string{};
+        current = k > 1 ? chain_next(current) : kNone;
       }
+      const std::string& front = jobs[g.members.front()].id;
       g.name = g.members.size() == 1
-                   ? g.members.front()
-                   : "cluster_" + g.members.front() + "_" + g.members.back();
-      for (const auto& m : g.members) rep[m] = g.name;
+                   ? front
+                   : "cluster_" + front + "_" + jobs[g.members.back()].id;
+      for (const std::uint32_t m : g.members) {
+        group[m] = static_cast<std::uint32_t>(groups.size());
+      }
       if (g.members.size() > 1) plan.clustered_tasks += g.members.size();
       groups.push_back(std::move(g));
     }
   }
+  // The name of the group holding `job`. at() throws for a job on a
+  // closed cycle of chain links, which no group holds.
+  auto group_name = [&](std::uint32_t job) -> std::string_view {
+    return groups.at(group[job]).name;
+  };
+
+  // --- Initial inputs (no producer) and final outputs (no reader).
+  std::vector<std::uint32_t> initial;
+  std::vector<std::uint32_t> finals;
+  for (std::uint32_t f = 0; f < files.size(); ++f) {
+    if (files[f].producer == kNone) {
+      initial.push_back(f);
+    } else if (files[f].readers.empty()) {
+      finals.push_back(f);
+    }
+  }
+  sort_unique(initial, lfn_of);
+  sort_unique(finals, lfn_of);
+  auto lfns = [&files](const std::vector<std::uint32_t>& ids) {
+    std::vector<std::string> out;
+    out.reserve(ids.size());
+    for (const std::uint32_t f : ids) out.emplace_back(files[f].lfn);
+    return out;
+  };
 
   // --- Stage-in first (so compute nodes can name it as a parent).
-  add_stage_in(plan, workflow_.initial_inputs());
+  add_stage_in(plan, lfns(initial));
   const std::string stage_in_name =
       plan.stage_in_jobs > 0 ? "stage_in_" + workflow_.name() : "";
 
-  // lfn → ids of the jobs that read it, built once from each job's uses.
-  std::unordered_map<std::string_view, std::vector<std::string_view>> readers;
-  for (const auto& j : jobs) {
-    for (const auto& use : j.uses) {
-      if (use.link == LinkType::kInput) readers[use.lfn].push_back(j.id);
-    }
-  }
-
   // --- One executable node per group.
-  for (const auto& g : groups) {
-    const std::set<std::string, std::less<>> member_set(g.members.begin(),
-                                                        g.members.end());
+  for (std::uint32_t g = 0; g < groups.size(); ++g) {
     condor::DagNode node;
-    node.name = g.name;
+    node.name = groups[g].name;
     node.retries = options_.dag_retries;
-    node.job.name = g.name;
+    node.job.name = groups[g].name;
     node.job.submit_volume = &pool_.submit_staging();
 
     std::vector<condor::JobExecutable> execs;
-    std::set<std::string> dag_parents;
+    std::vector<std::string_view> dag_parents;
     double max_memory = 0;
-    std::set<std::string> external_inputs;
-    std::set<std::string> external_outputs;
+    std::vector<storage::FileRef> external_inputs;
+    std::vector<std::uint32_t> external_outputs;
 
-    for (const auto& member_id : g.members) {
-      const AbstractJob& aj = workflow_.job(member_id);
+    for (const std::uint32_t j : groups[g].members) {
+      const AbstractJob& aj = jobs[j];
       const Transformation& t = transformations_.get(aj.transformation);
       max_memory = std::max(max_memory, t.memory_bytes);
-      const JobMode mode = mode_of(aj);
 
-      for (const auto& lfn : aj.inputs()) {
-        const std::string producer = workflow_.producer_of(lfn);
-        if (producer.empty()) {
-          external_inputs.insert(lfn);
-          if (!stage_in_name.empty()) dag_parents.insert(stage_in_name);
-        } else if (!member_set.contains(producer)) {
-          external_inputs.insert(lfn);
-          dag_parents.insert(rep.at(producer));
+      std::vector<storage::FileRef> inputs;
+      std::vector<storage::FileRef> outputs;
+      for (const UseRef& use : uses_of(j)) {
+        const File& file = files[use.file];
+        if (use.link == LinkType::kOutput) {
+          outputs.push_back({std::string(file.lfn), file.bytes});
+          // Outputs leave the job unless consumed exclusively inside it.
+          const bool internal_only =
+              !file.readers.empty() &&
+              std::all_of(file.readers.begin(), file.readers.end(),
+                          [&group, g](std::uint32_t r) {
+                            return group[r] == g;
+                          });
+          if (!internal_only) external_outputs.push_back(use.file);
+          continue;
+        }
+        inputs.push_back({std::string(file.lfn), file.bytes});
+        if (file.producer == kNone) {
+          external_inputs.push_back(inputs.back());
+          if (!stage_in_name.empty()) dag_parents.push_back(stage_in_name);
+        } else if (group[file.producer] != g) {
+          external_inputs.push_back(inputs.back());
+          dag_parents.push_back(group_name(file.producer));
         }
       }
-      for (const auto& lfn : aj.outputs()) {
-        // Outputs leave the job unless consumed exclusively inside it.
-        const auto it = readers.find(lfn);
-        const bool internal_only =
-            it != readers.end() &&
-            std::all_of(it->second.begin(), it->second.end(),
-                        [&member_set](std::string_view id) {
-                          return member_set.contains(id);
-                        });
-        if (!internal_only) external_outputs.insert(lfn);
-      }
 
-      switch (mode) {
+      switch (mode[j]) {
         case JobMode::kNative:
-          execs.push_back(native_executable(file_refs(aj.inputs()),
-                                            file_refs(aj.outputs()),
+          execs.push_back(native_executable(std::move(inputs),
+                                            std::move(outputs),
                                             t.startup_s + t.work_coreseconds));
           break;
         case JobMode::kContainer: {
-          execs.push_back(make_container(aj, t));
+          execs.push_back(
+              make_container(aj, t, std::move(inputs), std::move(outputs)));
           // pegasus-lite ships the image tarball as a per-job input.
           const auto manifest =
               options_.registry->manifest(t.container_image);
-          const std::string tar_lfn = "__image_" + t.container_image;
+          std::string tar_lfn = "__image_" + t.container_image;
           pool_.submit_staging().put_instant(
               {tar_lfn, manifest->total_bytes()});
-          external_inputs.insert(tar_lfn);
+          const double bytes = workflow_.has_file(tar_lfn)
+                                   ? workflow_.file_bytes(tar_lfn)
+                                   : manifest->total_bytes();
+          external_inputs.push_back({std::move(tar_lfn), bytes});
           break;
         }
         case JobMode::kServerless: {
@@ -448,7 +539,7 @@ Plan Planner::plan() {
                 "Planner: serverless mode requires a wrapper factory");
           }
           execs.push_back(options_.serverless_factory(
-              aj, t, file_refs(aj.inputs()), file_refs(aj.outputs())));
+              aj, t, std::move(inputs), std::move(outputs)));
           break;
         }
       }
@@ -456,13 +547,16 @@ Plan Planner::plan() {
 
     node.job.request_cpus = 1;
     node.job.request_memory = std::max(max_memory, 512e6);
-    for (const auto& lfn : external_inputs) {
-      const double bytes = workflow_.has_file(lfn)
-                               ? workflow_.file_bytes(lfn)
-                               : pool_.submit_staging().stat(lfn)->bytes;
-      node.job.inputs.push_back({lfn, bytes});
+    sort_unique(external_inputs,
+                [](const storage::FileRef& ref) -> const std::string& {
+                  return ref.lfn;
+                });
+    node.job.inputs = std::move(external_inputs);
+    sort_unique(external_outputs, lfn_of);
+    for (const std::uint32_t f : external_outputs) {
+      node.job.outputs.emplace_back(files[f].lfn);
     }
-    for (const auto& lfn : external_outputs) node.job.outputs.push_back(lfn);
+    sort_unique(dag_parents, std::identity{});
     node.parents.assign(dag_parents.begin(), dag_parents.end());
     node.job.executable = chain_executables(std::move(execs));
     plan.nodes.push_back(std::move(node));
@@ -470,16 +564,14 @@ Plan Planner::plan() {
   }
 
   // --- Stage-out, depending on every producer of a final output.
-  const auto finals = workflow_.final_outputs();
   if (!finals.empty()) {
-    add_stage_out(plan, finals);
-    condor::DagNode& out_node = plan.nodes.back();
-    std::set<std::string> producers;
-    for (const auto& lfn : finals) {
-      const std::string producer = workflow_.producer_of(lfn);
-      if (!producer.empty()) producers.insert(rep.at(producer));
+    add_stage_out(plan, lfns(finals));
+    std::vector<std::string_view> producers;
+    for (const std::uint32_t f : finals) {
+      producers.push_back(group_name(files[f].producer));
     }
-    out_node.parents.assign(producers.begin(), producers.end());
+    sort_unique(producers, std::identity{});
+    plan.nodes.back().parents.assign(producers.begin(), producers.end());
   }
 
   return plan;

@@ -121,11 +121,13 @@ class Planner {
 
  private:
   [[nodiscard]] JobMode mode_of(const AbstractJob& job) const;
-  /// Sized references to `lfns`, as the workflow declares them.
-  [[nodiscard]] std::vector<storage::FileRef> file_refs(
-      const std::vector<std::string>& lfns) const;
+  /// Container task body: docker-loads the image shipped with the job and
+  /// runs the task in a one-core container between reading `inputs` and
+  /// writing `outputs`.
   [[nodiscard]] condor::JobExecutable make_container(
-      const AbstractJob& job, const Transformation& t) const;
+      const AbstractJob& job, const Transformation& t,
+      std::vector<storage::FileRef> inputs,
+      std::vector<storage::FileRef> outputs) const;
   /// Appends the stage-in job fetching `initial` (the workflow's initial
   /// inputs); none when empty.
   void add_stage_in(Plan& plan, const std::vector<std::string>& initial) const;

@@ -1,9 +1,9 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
+#include <unordered_map>
 
 #include "cluster/node.hpp"
 
@@ -56,7 +56,7 @@ class Volume {
  private:
   cluster::Node& node_;
   std::string name_;
-  std::map<std::string, double> files_;
+  std::unordered_map<std::string, double> files_;  // lfn → bytes
 };
 
 /// Copies `lfn` from `src` to `dst`: source disk read, network transfer,

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "sim/simulation.hpp"
@@ -108,6 +110,17 @@ TEST_F(DagManTest, WideFanoutAllRun) {
   sim.run();
   EXPECT_TRUE(ok);
   EXPECT_EQ(dag.completed_nodes(), 21u);
+  // Released children are submitted in name order, not in add order: w10
+  // runs before w2.
+  std::vector<std::string> by_name;
+  for (int i = 0; i < 20; ++i) {
+    std::string name = "w";
+    name += std::to_string(i);
+    by_name.push_back(std::move(name));
+  }
+  std::sort(by_name.begin(), by_name.end());
+  by_name.insert(by_name.begin(), "root");
+  EXPECT_EQ(order, by_name);
 }
 
 TEST_F(DagManTest, MaxJobsThrottleLimitsSubmissions) {

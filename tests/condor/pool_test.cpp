@@ -223,6 +223,10 @@ TEST_F(CondorPoolTest, RemoveIdleJobOnly) {
   const JobId id = pool->submit(std::move(spec));
   EXPECT_TRUE(pool->remove(id));
   EXPECT_FALSE(pool->remove(id));
+  // Ids outside the job table: none was ever submitted.
+  EXPECT_EQ(pool->job(kNoJob), nullptr);
+  EXPECT_EQ(pool->job(id + 1), nullptr);
+  EXPECT_FALSE(pool->remove(id + 1));
   sim.run();
   EXPECT_FALSE(callback_ran);
   EXPECT_EQ(pool->job(id)->state, JobState::kRemoved);

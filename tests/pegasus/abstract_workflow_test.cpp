@@ -57,6 +57,20 @@ TEST(AbstractWorkflow, InitialInputsAndFinalOutputs) {
   const auto initial = wf.initial_inputs();
   EXPECT_EQ(initial.size(), 3u);  // m0 + b0 + b1
   EXPECT_EQ(wf.final_outputs(), (std::vector<std::string>{"m2.dat"}));
+
+  // Both lists are sorted by name, whatever order the uses list them in.
+  AbstractWorkflow many("many");
+  for (const char* lfn : {"in", "z.out", "a.out", "m.out", "b.out"}) {
+    many.declare_file(lfn, 1);
+  }
+  many.add_job({"j", "t", {{"in", LinkType::kInput},
+                           {"z.out", LinkType::kOutput},
+                           {"a.out", LinkType::kOutput},
+                           {"m.out", LinkType::kOutput},
+                           {"b.out", LinkType::kOutput}}});
+  EXPECT_EQ(many.initial_inputs(), (std::vector<std::string>{"in"}));
+  EXPECT_EQ(many.final_outputs(),
+            (std::vector<std::string>{"a.out", "b.out", "m.out", "z.out"}));
 }
 
 TEST(AbstractWorkflow, FileSizesDeclared) {
