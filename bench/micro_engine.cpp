@@ -141,6 +141,35 @@ void BM_EventQueueSteadyWindow(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueSteadyWindow)->Arg(256)->Arg(2048);
 
+// The DAG workloads' shape (DESIGN §5): a window of N near events with
+// sub-millisecond delays (each step pops the earliest and schedules its
+// successor) while every 8th step arms a 600 s claim-idle timer that is
+// never cancelled, so about 1,250 timers pile up behind the window and
+// none comes due. Delays are drawn once, outside the timed loop.
+void BM_EventQueueFarTimers(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kSteps = 10000;
+  sim::Rng rng(1);
+  std::vector<double> delays(n + kSteps);
+  for (double& d : delays) d = rng.uniform(1e-5, 1e-3);
+  for (auto _ : state) {
+    sim::EventQueue q;
+    std::size_t next_delay = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      q.schedule(delays[next_delay++], [] {});
+    }
+    for (std::size_t step = 0; step < kSteps; ++step) {
+      const auto fired = q.pop();
+      q.schedule(fired.time + delays[next_delay++], [] {});
+      if (step % 8 == 0) q.schedule(fired.time + 600.0, [] {});
+    }
+    benchmark::DoNotOptimize(q.size());
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * kSteps));
+}
+BENCHMARK(BM_EventQueueFarTimers)->Arg(256)->Arg(2048);
+
 void BM_SimulationEventChurn(benchmark::State& state) {
   for (auto _ : state) {
     sim::Simulation sim;

@@ -67,7 +67,7 @@ if [[ ! -x "$bench_bin" ]]; then
   exit 1
 fi
 
-filter='BM_EventQueueScheduleAndPop|BM_EventQueueCancelHeavy|BM_EventQueueMixedSchedule|BM_EventQueueSteadyWindow|BM_SimulationEventChurn|BM_PsResourceChurn|BM_FlowNetworkFanout|BM_ApiServerWatchFanout|BM_SchedulerBurst|BM_KpaObserve|BM_CondorNegotiate|BM_TraceRecordHotPath|BM_TraceRecordGated|BM_WatchFanoutNodeScoped|BM_SchedulerScaled|BM_SchedulePodScaled|BM_EndpointsChurn|BM_HeartbeatTick|BM_LifecycleSweep|BM_NodeEviction|BM_DeploymentReconcile|BM_HistogramRecord|BM_RouterPickBackend|BM_CatalogLookup|BM_CatalogLookupMap|BM_PlanLayered|BM_CondorMatchIdle'
+filter='BM_EventQueueScheduleAndPop|BM_EventQueueCancelHeavy|BM_EventQueueMixedSchedule|BM_EventQueueSteadyWindow|BM_EventQueueFarTimers|BM_SimulationEventChurn|BM_PsResourceChurn|BM_FlowNetworkFanout|BM_ApiServerWatchFanout|BM_SchedulerBurst|BM_KpaObserve|BM_CondorNegotiate|BM_TraceRecordHotPath|BM_TraceRecordGated|BM_WatchFanoutNodeScoped|BM_SchedulerScaled|BM_SchedulePodScaled|BM_EndpointsChurn|BM_HeartbeatTick|BM_LifecycleSweep|BM_NodeEviction|BM_DeploymentReconcile|BM_HistogramRecord|BM_RouterPickBackend|BM_CatalogLookup|BM_CatalogLookupMap|BM_PlanLayered|BM_CondorMatchIdle'
 raw_json="$(mktemp)"
 trap 'rm -f "$raw_json"' EXIT
 

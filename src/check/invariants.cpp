@@ -65,6 +65,14 @@ void InvariantChecker::register_builtins() {
   // how many subjects it examined, so per_invariant() can prove each law
   // was exercised against real state rather than passing over nothing.
 
+  // -- sim: the event queue's buckets, tombstones and live slots agree, --
+  // -- and nothing pending precedes the clock. ----------------------------
+  add_counted_invariant("sim.event_queue",
+                        [this](std::vector<std::string>& out) -> std::uint64_t {
+    for (auto& msg : tb_.sim().self_check()) out.push_back(std::move(msg));
+    return tb_.sim().pending_events();
+  });
+
   // -- condor: pool-internal conservation (claims, slots, job states). ---
   add_counted_invariant("condor.pool",
                         [this](std::vector<std::string>& out) -> std::uint64_t {

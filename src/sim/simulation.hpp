@@ -1,6 +1,8 @@
 #pragma once
 
 #include <cstddef>
+#include <string>
+#include <vector>
 
 #include "sim/event_queue.hpp"
 #include "sim/interner.hpp"
@@ -29,10 +31,12 @@ class Simulation {
   /// `std::function`.
   using Callback = EventQueue::Callback;
 
-  /// Schedules `fn` at absolute virtual time `t` (must be >= now()).
+  /// Schedules `fn` at absolute virtual time `t` (must be >= now(); a NaN
+  /// throws std::invalid_argument like a past time).
   EventId call_at(SimTime t, Callback fn);
 
-  /// Schedules `fn` after `delay` seconds (must be >= 0).
+  /// Schedules `fn` after `delay` seconds (must be >= 0; a NaN throws
+  /// std::invalid_argument like a negative delay).
   EventId call_in(SimTime delay, Callback fn);
 
   /// Cancels a pending event; returns true iff it was still pending.
@@ -45,7 +49,8 @@ class Simulation {
   /// Runs all events with time <= `t`; the clock then reads exactly `t`.
   std::size_t run_until(SimTime t);
 
-  /// Processes a single event. Returns false when the queue is empty.
+  /// Processes a single event. Returns false when the queue is empty or
+  /// holds only events at +inf, which never fire.
   bool step();
 
   /// Stops run()/run_until() after the current callback returns.
@@ -53,6 +58,7 @@ class Simulation {
 
   [[nodiscard]] bool has_pending_events() const { return !queue_.empty(); }
   [[nodiscard]] SimTime next_event_time() const { return queue_.next_time(); }
+  [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
   [[nodiscard]] std::uint64_t events_processed() const { return processed_; }
 
   Rng& rng() { return rng_; }
@@ -69,7 +75,14 @@ class Simulation {
   /// Shorthand for ids().intern().
   ObjectId intern(std::string_view s) { return ids_.intern(s); }
 
+  /// EventQueue::self_check(), plus: no pending event precedes the clock.
+  /// One message per fault, empty when sound. A pure read.
+  [[nodiscard]] std::vector<std::string> self_check() const;
+
  private:
+  /// Fires the earliest event if its time is at most `limit`.
+  bool fire_next(SimTime limit);
+
   EventQueue queue_;
   SimTime now_ = 0;
   bool stopped_ = false;

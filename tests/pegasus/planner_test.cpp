@@ -346,9 +346,13 @@ class PlannerEquivalence : public ::testing::Test {
   /// 3-62 jobs. Each reads one to three files: usually the latest output
   /// (chains), otherwise a random earlier output (multi-reader files) or
   /// an initial input; each writes one or two. One job in five runs
-  /// serverless.
+  /// serverless. With `read_backs`, one job in three (never the last)
+  /// also reads back its first output, and the next job reads it too: a
+  /// self-reading job is its own parent, and without a second reader it
+  /// would close a chain cycle, which the planner rejects.
   AbstractWorkflow random_workflow(std::uint64_t seed,
-                                   std::map<std::string, JobMode>& modes) {
+                                   std::map<std::string, JobMode>& modes,
+                                   bool read_backs = false) {
     fault::SplitMix64 rng(fault::SplitMix64::mix(seed, 0x9E6A));
     std::string name = "wf";
     name += std::to_string(seed);
@@ -363,6 +367,7 @@ class PlannerEquivalence : public ::testing::Test {
       wf.declare_file(initial.back(), bytes());
     }
     std::vector<std::string> produced;
+    std::string read_back;  // the previous job's read-back output
     const std::size_t n_jobs = 3 + rng.next_below(60);
     for (std::size_t j = 0; j < n_jobs; ++j) {
       AbstractJob job;
@@ -384,12 +389,23 @@ class PlannerEquivalence : public ::testing::Test {
             [&lfn](const Use& use) { return use.lfn == lfn; });
         if (!seen) job.uses.push_back({lfn, LinkType::kInput});
       }
+      if (!read_back.empty()) {
+        const bool seen = std::any_of(
+            job.uses.begin(), job.uses.end(),
+            [&read_back](const Use& use) { return use.lfn == read_back; });
+        if (!seen) job.uses.push_back({read_back, LinkType::kInput});
+        read_back.clear();
+      }
       const std::size_t n_out = 1 + rng.next_below(2);
       for (std::size_t k = 0; k < n_out; ++k) {
         std::string lfn = job.id + ".o" + std::to_string(k);
         wf.declare_file(lfn, bytes());
         job.uses.push_back({lfn, LinkType::kOutput});
         produced.push_back(std::move(lfn));
+      }
+      if (read_backs && j + 1 < n_jobs && rng.next_below(3) == 0) {
+        read_back = job.id + ".o0";
+        job.uses.push_back({read_back, LinkType::kInput});
       }
       if (rng.next_below(5) == 0) modes[job.id] = JobMode::kServerless;
       wf.add_job(std::move(job));
@@ -448,6 +464,27 @@ TEST_F(PlannerEquivalence, PinnedPlansAreUnchanged) {
   }
   EXPECT_EQ(nodes, 3554u);
   EXPECT_EQ(h, 0x7f364b3ae7d23a66ull);
+}
+
+// The same pin over workflows with read-backs: a job that reads back its
+// own output, which a later job may also read, gives a clustered output
+// read both inside and outside its cluster. Such a file must still be
+// staged out.
+TEST_F(PlannerEquivalence, PinnedPlansWithReadBacksAreUnchanged) {
+  std::uint64_t h = 0;
+  std::size_t nodes = 0;
+  for (std::uint64_t seed = 0; seed < 32; ++seed) {
+    std::map<std::string, JobMode> modes;
+    const AbstractWorkflow wf = random_workflow(seed, modes, true);
+    for (int k = 1; k <= 4; ++k) {
+      Planner planner(wf, tc, rc, pool, options(k, modes));
+      const Plan plan = planner.plan();
+      nodes += plan.nodes.size();
+      h = fault::SplitMix64::mix(h, plan_digest(plan));
+    }
+  }
+  EXPECT_EQ(nodes, 3902u);
+  EXPECT_EQ(h, 0x11f1b14ea74da67bull);
 }
 
 /// The planned node called `name`.

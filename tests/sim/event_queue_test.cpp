@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <vector>
 
 namespace sf::sim {
@@ -211,6 +213,68 @@ TEST(EventQueue, StressManyInstantsWithInterleavedCancellation) {
   EXPECT_GT(fired, 0);
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.size(), 0u);
+}
+
+TEST(EventQueue, ScheduleBeforeLastPopKeepsTimeIdOrder) {
+  // A standalone queue may schedule before the time it last popped; the
+  // pending events, a cancelled one among them, are then re-filed and
+  // every later pop still follows (time, id).
+  EventQueue q;
+  std::vector<int> order;
+  q.schedule(10.0, [&] { order.push_back(10); });
+  q.schedule(20.0, [&] { order.push_back(20); });
+  q.schedule(30.0, [&] { order.push_back(30); });
+  const EventId doomed = q.schedule(25.0, [&] { order.push_back(25); });
+  q.schedule(10.0, [&] { order.push_back(11); });
+  q.pop().fn();  // 10.0: the base is now 10.0, with 11 still due there
+  EXPECT_TRUE(q.cancel(doomed));
+  q.schedule(5.0, [&] { order.push_back(5); });
+  q.schedule(5.0, [&] { order.push_back(6); });
+  q.schedule(20.0, [&] { order.push_back(21); });
+  q.schedule(15.0, [&] { order.push_back(15); });
+  EXPECT_TRUE(q.self_check().empty());
+  EXPECT_DOUBLE_EQ(q.next_time(), 5.0);
+  auto first = q.pop();
+  EXPECT_DOUBLE_EQ(first.time, 5.0);
+  first.fn();
+  q.schedule(1.0, [&] { order.push_back(1); });  // below the base again
+  while (!q.empty()) q.pop().fn();
+  EXPECT_EQ(order, (std::vector<int>{10, 5, 1, 6, 11, 15, 20, 21, 30}));
+  EXPECT_TRUE(q.self_check().empty());
+}
+
+TEST(EventQueue, PopUntilTakesOnlyDueEvents) {
+  EventQueue q;
+  q.schedule(1.0, [] {});
+  const EventId later = q.schedule(4.0, [] {});
+  auto due = q.pop_until(2.0);
+  ASSERT_TRUE(due.has_value());
+  EXPECT_DOUBLE_EQ(due->time, 1.0);
+  EXPECT_FALSE(q.pop_until(2.0).has_value());
+  EXPECT_FALSE(q.pop_until(std::nan("")).has_value());
+  EXPECT_EQ(q.size(), 1u);
+  // A refused pop leaves the earlier instants open: 3.0 lies between the
+  // last pop and the pending event, and fires first.
+  q.schedule(3.0, [] {});
+  auto next = q.pop_until(kTimeInfinity);
+  ASSERT_TRUE(next.has_value());
+  EXPECT_DOUBLE_EQ(next->time, 3.0);
+  next = q.pop_until(4.0);
+  ASSERT_TRUE(next.has_value());
+  EXPECT_EQ(next->id, later);
+  EXPECT_FALSE(q.pop_until(kTimeInfinity).has_value());
+  EXPECT_TRUE(q.self_check().empty());
+}
+
+TEST(EventQueue, EventAtInfinityPopsLast) {
+  EventQueue q;
+  const EventId inf = q.schedule(kTimeInfinity, [] {});
+  q.schedule(1e300, [] {});
+  EXPECT_DOUBLE_EQ(q.pop().time, 1e300);
+  EXPECT_FALSE(q.pop_until(std::numeric_limits<double>::max()).has_value());
+  EXPECT_EQ(q.next_time(), kTimeInfinity);
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.pop().id, inf);
 }
 
 }  // namespace

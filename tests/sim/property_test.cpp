@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <map>
 #include <vector>
 
@@ -82,6 +84,106 @@ TEST_P(EventQueueModelTest, MatchesMultimapReference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueModelTest,
+                         ::testing::Values(1, 2, 3, 5, 8, 13));
+
+// ---- EventQueue vs. the reference, in the shape Simulation drives it -----
+//
+// No schedule precedes the clock, and the clock is the last popped time or
+// later (run_until moves it to an idle instant, and the queue refuses the
+// next event there), so the queue never takes its below-the-base path.
+// Delays are log-uniform from 1 µs to 600 s, so keys differ in low
+// mantissa bits, in the exponent and across powers of two; about a quarter
+// land on the clock itself, so instants are shared, including instants
+// the queue has not popped yet, and a few one ulp after it.
+
+class MonotoneEventQueueModelTest
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(MonotoneEventQueueModelTest, MatchesMultimapReference) {
+  Rng rng(GetParam());
+  EventQueue queue;
+  std::multimap<std::pair<SimTime, EventId>, bool> model;  // all alive
+  SimTime now = 0;
+  int ops = 0;
+  int cancels = 0;
+
+  const auto schedule_at = [&](SimTime t) {
+    model.emplace(std::make_pair(t, queue.schedule(t, [] {})), true);
+  };
+  // A quarter at the clock, a few one ulp after it, the rest log-uniform.
+  const auto later = [&] {
+    const double p = rng.uniform(0, 1);
+    if (p < 0.25) return now;
+    if (p < 0.28) return std::nextafter(now, kTimeInfinity);
+    return now + std::exp(rng.uniform(std::log(1e-6), std::log(600.0)));
+  };
+  const auto expect_next_time = [&] {
+    EXPECT_EQ(queue.next_time(),
+              model.empty() ? kTimeInfinity : model.begin()->first.first);
+  };
+  for (int i = 0; i < 128; ++i) schedule_at(later());
+
+  while (now < 1e4) {
+    // Scheduling outweighs popping below 128 pending, and the reverse
+    // above, so the pending set hovers near 128.
+    const double p = rng.uniform(0, 1);
+    if (p < (model.size() < 128 ? 0.5 : 0.4) || model.empty()) {
+      schedule_at(later());
+    } else if (p < 0.9) {
+      const auto event = queue.pop();
+      ASSERT_FALSE(model.empty());
+      EXPECT_EQ(event.time, model.begin()->first.first);
+      EXPECT_EQ(event.id, model.begin()->first.second);
+      model.erase(model.begin());
+      now = event.time;
+    } else if (p < 0.97) {
+      // Cancel the earliest event, a near one or a far timer, then peek
+      // and schedule at the clock, whose key may be the queue's base.
+      auto victim = model.begin();
+      switch (rng.index(3)) {
+        case 1:
+          victim = model.lower_bound({now + rng.uniform(0, 1), kNoEvent});
+          break;
+        case 2:
+          victim = model.lower_bound({now + rng.uniform(60, 600), kNoEvent});
+          break;
+        default:
+          break;
+      }
+      if (victim != model.end()) {
+        EXPECT_TRUE(queue.cancel(victim->first.second));
+        EXPECT_FALSE(queue.cancel(victim->first.second));
+        model.erase(victim);
+        ++cancels;
+      }
+      expect_next_time();
+      schedule_at(now);
+    } else if (!model.empty() && model.begin()->first.first > now) {
+      // run_until to an idle instant: the clock passes the last pop
+      // without reaching the next event, which is refused.
+      expect_next_time();
+      const SimTime next = model.begin()->first.first;
+      now = std::min(rng.uniform(now, next), std::nextafter(next, 0.0));
+      EXPECT_FALSE(queue.pop_until(now).has_value());
+    }
+    ASSERT_EQ(queue.size(), model.size());
+    if (++ops % 256 == 0) {
+      const auto faults = queue.self_check();
+      ASSERT_TRUE(faults.empty()) << faults.front();
+    }
+  }
+  EXPECT_GT(cancels, 100);
+  while (!queue.empty()) {
+    const auto event = queue.pop();
+    ASSERT_FALSE(model.empty());
+    EXPECT_EQ(event.id, model.begin()->first.second);
+    model.erase(model.begin());
+  }
+  EXPECT_TRUE(model.empty());
+  EXPECT_TRUE(queue.self_check().empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MonotoneEventQueueModelTest,
                          ::testing::Values(1, 2, 3, 5, 8, 13));
 
 // ---- PsResource invariants under random load -----------------------------

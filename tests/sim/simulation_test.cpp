@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <stdexcept>
 #include <vector>
 
@@ -34,6 +35,54 @@ TEST(Simulation, PastSchedulingThrows) {
   sim.run();
   EXPECT_THROW(sim.call_at(5.0, [] {}), std::invalid_argument);
   EXPECT_THROW(sim.call_in(-1.0, [] {}), std::invalid_argument);
+}
+
+TEST(Simulation, NaNTimesThrow) {
+  Simulation sim;
+  const double nan = std::nan("");
+  EXPECT_THROW(sim.call_at(nan, [] {}), std::invalid_argument);
+  EXPECT_THROW(sim.call_in(nan, [] {}), std::invalid_argument);
+  sim.call_at(10.0, [] {});
+  sim.run();
+  EXPECT_THROW(sim.call_at(nan, [] {}), std::invalid_argument);
+  EXPECT_THROW(sim.call_in(-nan, [] {}), std::invalid_argument);
+  EXPECT_FALSE(sim.has_pending_events());
+}
+
+TEST(Simulation, EventAtInfinityNeverFires) {
+  Simulation sim;
+  int fired = 0;
+  sim.call_at(kTimeInfinity, [&] { fired += 100; });
+  sim.call_in(kTimeInfinity, [&] { fired += 100; });
+  sim.call_at(2.0, [&] { ++fired; });
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_EQ(fired, 1);
+  EXPECT_DOUBLE_EQ(sim.now(), 2.0);
+  EXPECT_FALSE(sim.step());
+  EXPECT_EQ(sim.run(), 0u);
+  EXPECT_EQ(fired, 1);
+  EXPECT_TRUE(sim.has_pending_events());
+  EXPECT_EQ(sim.next_event_time(), kTimeInfinity);
+}
+
+TEST(Simulation, ScheduleAfterIdleRunUntilKeepsOrder) {
+  // run_until stops short of the next event and moves the clock; events
+  // scheduled between the clock and that event fire first, same-instant
+  // ones FIFO.
+  Simulation sim;
+  std::vector<int> order;
+  sim.call_at(10.0, [&] { order.push_back(10); });
+  sim.call_at(20.0, [&] { order.push_back(20); });
+  sim.run_until(15.0);
+  EXPECT_DOUBLE_EQ(sim.now(), 15.0);
+  sim.call_at(16.0, [&] { order.push_back(16); });
+  sim.call_in(0.0, [&] { order.push_back(15); });
+  sim.call_at(15.0, [&] { order.push_back(151); });
+  EXPECT_DOUBLE_EQ(sim.next_event_time(), 15.0);
+  EXPECT_TRUE(sim.self_check().empty());
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{10, 15, 151, 16, 20}));
+  EXPECT_TRUE(sim.self_check().empty());
 }
 
 TEST(Simulation, RunReturnsEventCount) {
