@@ -10,6 +10,7 @@
 #        scripts/tier1.sh --fuzz [build-dir]     (default: ./build)
 #        scripts/tier1.sh --scale [build-dir]    (default: ./build)
 #        scripts/tier1.sh --figures [build-dir]  (default: ./build)
+#        scripts/tier1.sh --examples [build-dir] (default: ./build)
 #        scripts/tier1.sh --digests <commit>
 #
 # --release builds everything as CMAKE_BUILD_TYPE=Release, still with
@@ -27,8 +28,8 @@
 # what catches a stale `this` or use-after-free the happy path never
 # trips.
 #
-# The four golden legs below build their bench binaries, run each at 1 and
-# 4 sweep threads, and diff the two transcripts against each other and
+# The five golden legs below build their binaries, run each at 1 and 4
+# sweep threads, and diff the two transcripts against each other and
 # against the committed golden. Drift between thread counts means a sweep
 # lost determinism; drift against the golden means a change moved a result.
 #
@@ -45,6 +46,11 @@
 # --figures runs the twelve figure and ablation binaries, each against its
 # transcript in tests/golden/figures/. All twelve together run in well
 # under a second.
+#
+# --examples runs the deterministic examples against their transcripts in
+# tests/golden/examples/. autoscaling_burst prints the traced Knative
+# timeline, so this leg also pins what the trace recorder stores.
+# quickstart is left out: it prints a wall-clock kernel time.
 #
 # --digests <commit> exports <commit> with git archive into a temporary
 # directory, builds perfbench_driver there and in this checkout (under
@@ -67,13 +73,13 @@ full_suite() {
   ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
 }
 
-# Builds each bench <target>, runs it at SF_SWEEP_THREADS=1 and 4 with
-# <smoke-var>=1 set (none when empty), and fails unless both transcripts
-# are identical and equal <golden>.
-#   golden_diff <label> <build-dir> <smoke-var> <target>:<golden>...
+# Builds each <target>, runs <build-dir>/<bin-dir>/<target> at
+# SF_SWEEP_THREADS=1 and 4 with <smoke-var>=1 set (none when empty), and
+# fails unless both transcripts are identical and equal <golden>.
+#   golden_diff <label> <build-dir> <bin-dir> <smoke-var> <target>:<golden>...
 golden_diff() {
-  local label="$1" build_dir="$2" smoke="$3"
-  shift 3
+  local label="$1" build_dir="$2" bin_dir="$3" smoke="$4"
+  shift 4
   cmake -B "$build_dir" -S "$repo_root"
   cmake --build "$build_dir" --target "${@%%:*}" -j "$(nproc)"
   tmp="$(mktemp -d)"
@@ -84,7 +90,7 @@ golden_diff() {
     golden="${pair#*:}"
     for threads in 1 4; do
       env ${smoke:+"$smoke=1"} SF_SWEEP_THREADS="$threads" \
-        "$build_dir/bench/$target" > "$tmp/$target.$threads.txt"
+        "$build_dir/$bin_dir/$target" > "$tmp/$target.$threads.txt"
     done
     diff -u "$tmp/$target.1.txt" "$tmp/$target.4.txt" \
       || { echo "$label: $target: thread counts disagree" >&2; exit 1; }
@@ -128,18 +134,26 @@ case "${1:-}" in
                ablate_event_driven; do
       figures+=("$fig:$goldens/figures/$fig.txt")
     done
-    golden_diff figures "${2:-$repo_root/build}" "" "${figures[@]}"
+    golden_diff figures "${2:-$repo_root/build}" bench "" "${figures[@]}"
+    ;;
+  --examples)
+    examples=()
+    for example in autoscaling_burst concurrent_campaign tradeoff_explorer \
+                   workflow_gantt; do
+      examples+=("$example:$goldens/examples/$example.txt")
+    done
+    golden_diff examples "${2:-$repo_root/build}" examples "" "${examples[@]}"
     ;;
   --scale)
-    golden_diff "scale smoke" "${2:-$repo_root/build}" SF_SCALE_SMOKE \
+    golden_diff "scale smoke" "${2:-$repo_root/build}" bench SF_SCALE_SMOKE \
       "scale_sweep:$goldens/scale_smoke.txt"
     ;;
   --fuzz)
-    golden_diff "fuzz smoke" "${2:-$repo_root/build}" SF_FUZZ_SMOKE \
+    golden_diff "fuzz smoke" "${2:-$repo_root/build}" bench SF_FUZZ_SMOKE \
       "fuzz_sim:$goldens/fuzz_smoke.txt"
     ;;
   --chaos)
-    golden_diff "chaos smoke" "${2:-$repo_root/build}" SF_CHAOS_SMOKE \
+    golden_diff "chaos smoke" "${2:-$repo_root/build}" bench SF_CHAOS_SMOKE \
       "chaos_sweep:$goldens/chaos_smoke.txt"
     ;;
   --digests)

@@ -33,18 +33,6 @@ std::vector<Node*> Cluster::nodes() {
   return out;
 }
 
-std::unique_ptr<Cluster> Cluster_make(sim::Simulation& sim,
-                                      std::size_t node_count,
-                                      const NodeSpec& base) {
-  auto cluster = std::make_unique<Cluster>(sim);
-  for (std::size_t i = 0; i < node_count; ++i) {
-    NodeSpec spec = base;
-    spec.name = "node" + std::to_string(i);
-    cluster->add_node(std::move(spec));
-  }
-  return cluster;
-}
-
 std::unique_ptr<Cluster> make_paper_testbed(sim::Simulation& sim) {
   return make_uniform_cluster(sim, 4, NodeSpec{});
 }
@@ -52,7 +40,13 @@ std::unique_ptr<Cluster> make_paper_testbed(sim::Simulation& sim) {
 std::unique_ptr<Cluster> make_uniform_cluster(sim::Simulation& sim,
                                               std::size_t node_count,
                                               const NodeSpec& base) {
-  return Cluster_make(sim, node_count, base);
+  auto cluster = std::make_unique<Cluster>(sim);
+  for (std::size_t i = 0; i < node_count; ++i) {
+    NodeSpec spec = base;
+    spec.name = "node" + std::to_string(i);
+    cluster->add_node(std::move(spec));
+  }
+  return cluster;
 }
 
 }  // namespace sf::cluster

@@ -44,12 +44,7 @@ void EventDrivenRunner::setup(const ProvisioningPolicy& policy) {
   task_spec.container.cpu_shares = 8.0;
   task_spec.container.memory_bytes = calibration_.task_memory_bytes;
   task_spec.container.boot_s = calibration_.flask_boot_s;
-  task_spec.annotations.min_scale = policy.min_scale;
-  task_spec.annotations.initial_scale = policy.initial_scale;
-  task_spec.annotations.max_scale = policy.max_scale;
-  task_spec.annotations.container_concurrency =
-      policy.container_concurrency;
-  task_spec.annotations.target_concurrency = policy.target_concurrency;
+  task_spec.annotations = policy.annotations();
   task_spec.handler = [this](const net::HttpRequest& req,
                              knative::FunctionContext& ctx,
                              net::Responder respond) {

@@ -53,6 +53,20 @@ const char* to_string(DataStrategy strategy) {
   return "unknown";
 }
 
+knative::Annotations ProvisioningPolicy::annotations() const {
+  knative::Annotations a;
+  a.min_scale = min_scale;
+  a.initial_scale = initial_scale;
+  a.max_scale = max_scale;
+  a.container_concurrency = container_concurrency;
+  a.target_concurrency = target_concurrency;
+  a.request_timeout_s = request_timeout_s;
+  a.route_timeout_s = route_timeout_s;
+  a.outlier = outlier;
+  a.admission = admission;
+  return a;
+}
+
 ServerlessIntegration::ServerlessIntegration(
     knative::KnativeServing& serving, container::Registry& registry,
     CalibrationProfile calibration, DataStrategy strategy,
@@ -178,15 +192,7 @@ void ServerlessIntegration::register_transformation(
   spec.container.boot_s = calibration_.flask_boot_s;
   spec.cpu_request = 0.5;
   spec.handler = make_handler();
-  spec.annotations.min_scale = policy.min_scale;
-  spec.annotations.initial_scale = policy.initial_scale;
-  spec.annotations.max_scale = policy.max_scale;
-  spec.annotations.container_concurrency = policy.container_concurrency;
-  spec.annotations.target_concurrency = policy.target_concurrency;
-  spec.annotations.request_timeout_s = policy.request_timeout_s;
-  spec.annotations.route_timeout_s = policy.route_timeout_s;
-  spec.annotations.outlier = policy.outlier;
-  spec.annotations.admission = policy.admission;
+  spec.annotations = policy.annotations();
   serving_.create_service(std::move(spec));
   services_.emplace(t.name, "fn-" + t.name);
 }

@@ -60,6 +60,10 @@ struct ProvisioningPolicy {
   /// Router token-bucket admission control (off by default).
   knative::AdmissionConfig admission;
 
+  /// The service annotations these knobs set; every other annotation
+  /// keeps its default.
+  [[nodiscard]] knative::Annotations annotations() const;
+
   /// Pre-staged (paper Fig. 1/6 warm configuration).
   static ProvisioningPolicy prestaged(int replicas) {
     ProvisioningPolicy p;

@@ -16,7 +16,7 @@ void ApiServer::notify(
     EventType type, const T& obj) {
   if (watches.empty()) return;
   ++watch_batches_scheduled_;
-  sim_.call_in(api_latency_, [this, &watches, type, obj, n = watches.size()] {
+  sim_.call_in(kApiLatency, [this, &watches, type, obj, n = watches.size()] {
     ++watch_batches_delivered_;
     for (std::size_t i = 0; i < n; ++i) watches[i](type, obj);
   });
@@ -510,7 +510,7 @@ void ApiServer::notify_pod(EventType type, const Pod& pod,
   const std::size_t n_global = pod_watches_.size();
   if (n_global + n_node == 0) return;
   ++watch_batches_scheduled_;
-  sim_.call_in(api_latency_, [this, type, pod, n_global, node_slot, n_node] {
+  sim_.call_in(kApiLatency, [this, type, pod, n_global, node_slot, n_node] {
     ++watch_batches_delivered_;
     deliver_pod_event(type, pod, n_global, node_slot, n_node);
   });

@@ -56,14 +56,13 @@ class ApiServer {
   /// as NamedStore::kNoSlot).
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
 
-  explicit ApiServer(sim::Simulation& sim, double api_latency_s = 0.005)
-      : sim_(sim), api_latency_(api_latency_s) {}
+  explicit ApiServer(sim::Simulation& sim) : sim_(sim) {}
 
   ApiServer(const ApiServer&) = delete;
   ApiServer& operator=(const ApiServer&) = delete;
 
   [[nodiscard]] sim::Simulation& sim() { return sim_; }
-  [[nodiscard]] double api_latency() const { return api_latency_; }
+  [[nodiscard]] static constexpr double api_latency() { return kApiLatency; }
 
   // ---- Nodes ----------------------------------------------------------
 
@@ -411,8 +410,10 @@ class ApiServer {
   void link_pod_owner(std::uint32_t pod_slot, const std::string& owner);
   void unlink_pod_owner(std::uint32_t pod_slot);
 
+  /// Watch-notification latency, in seconds.
+  static constexpr double kApiLatency = 0.005;
+
   sim::Simulation& sim_;
-  double api_latency_;
   Uid next_uid_ = 1;
   /// Lifetime counters: every pod ever stored / ever finalized. Invariant
   /// (asserted in debug builds): created − finalized == pods_.size().

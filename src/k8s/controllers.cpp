@@ -8,10 +8,14 @@ namespace sf::k8s {
 
 // ---- DeploymentController ----------------------------------------------
 
-DeploymentController::DeploymentController(ApiServer& api,
-                                           double restart_backoff_s)
-    : api_(api),
-      restart_backoff_(fault::RetryPolicy::constant(restart_backoff_s)) {
+namespace {
+// Crash-loop restart pacing, in seconds. Kubernetes' CrashLoopBackOff
+// grows exponentially; this models the steady-state fixed window the
+// testbed calibrates against.
+constexpr double kRestartBackoff = 1.0;
+}  // namespace
+
+DeploymentController::DeploymentController(ApiServer& api) : api_(api) {
   api_.watch_deployments([this](EventType type, const Deployment& dep) {
     if (type == EventType::kDeleted) {
       // Remove every pod the deployment owned, via the owner index —
@@ -50,8 +54,7 @@ DeploymentController::DeploymentController(ApiServer& api,
       ++backoff_hold_[pod.owner];
       ++pods_replaced_;
       api_.delete_pod(pod.name);
-      api_.sim().call_in(restart_backoff_.backoff_s(0),
-                         [this, owner = pod.owner] {
+      api_.sim().call_in(kRestartBackoff, [this, owner = pod.owner] {
         auto it = backoff_hold_.find(owner);
         if (it != backoff_hold_.end() && --it->second <= 0) {
           backoff_hold_.erase(it);

@@ -3,7 +3,6 @@
 #include <map>
 #include <string>
 
-#include "fault/retry.hpp"
 #include "k8s/api_server.hpp"
 
 namespace sf::k8s {
@@ -18,8 +17,7 @@ namespace sf::k8s {
 /// store on every deployment or pod event.
 class DeploymentController {
  public:
-  explicit DeploymentController(ApiServer& api,
-                                double restart_backoff_s = 1.0);
+  explicit DeploymentController(ApiServer& api);
 
   DeploymentController(const DeploymentController&) = delete;
   DeploymentController& operator=(const DeploymentController&) = delete;
@@ -43,10 +41,6 @@ class DeploymentController {
   void check_invariants() const;
 
   ApiServer& api_;
-  /// Crash-loop restart pacing: a fixed-delay RetryPolicy (Kubernetes'
-  /// CrashLoopBackOff grows exponentially; this controller models the
-  /// steady-state fixed window the testbed calibrates against).
-  fault::RetryPolicy restart_backoff_;
   std::map<std::string, int> next_index_;  // per-deployment pod name counter
   /// Deployments whose failure backoff is armed: reconciles are held until
   /// the backoff event fires, so replacements are actually paced (a

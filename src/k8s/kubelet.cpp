@@ -4,17 +4,20 @@
 
 namespace sf::k8s {
 
+namespace {
+// Seconds from a container's start to its first passing readiness probe.
+constexpr double kReadinessProbeDelay = 0.05;
+}  // namespace
+
 Kubelet::Kubelet(ApiServer& api, cluster::Node& node,
                  container::ImageCache& cache,
                  container::ContainerRuntime& runtime,
-                 container::Registry& registry,
-                 double readiness_probe_delay_s)
+                 container::Registry& registry)
     : api_(api),
       node_(node),
       cache_(cache),
       runtime_(runtime),
-      registry_(registry),
-      readiness_delay_(readiness_probe_delay_s) {
+      registry_(registry) {
   // Node-scoped: pod events for other nodes never reach this kubelet, so
   // cluster-wide churn costs each kubelet nothing instead of a filtered
   // callback per event per node.
@@ -123,7 +126,7 @@ void Kubelet::realize(const Pod& pod) {
           p.port = port;
         });
         // Readiness probe passes one probe interval later.
-        api_.sim().call_in(readiness_delay_, [this, name] {
+        api_.sim().call_in(kReadinessProbeDelay, [this, name] {
           auto lt = managed_.find(name);
           if (lt == managed_.end() || lt->second.stage != Stage::kRunning ||
               lt->second.terminate_requested) {

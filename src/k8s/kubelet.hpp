@@ -22,8 +22,7 @@ namespace sf::k8s {
 class Kubelet {
  public:
   Kubelet(ApiServer& api, cluster::Node& node, container::ImageCache& cache,
-          container::ContainerRuntime& runtime, container::Registry& registry,
-          double readiness_probe_delay_s = 0.05);
+          container::ContainerRuntime& runtime, container::Registry& registry);
 
   Kubelet(const Kubelet&) = delete;
   Kubelet& operator=(const Kubelet&) = delete;
@@ -100,7 +99,6 @@ class Kubelet {
   container::ImageCache& cache_;
   container::ContainerRuntime& runtime_;
   container::Registry& registry_;
-  double readiness_delay_;
   std::map<std::string, Managed> managed_;
   std::function<bool()> connectivity_probe_;
 };

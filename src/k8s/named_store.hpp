@@ -25,10 +25,11 @@ namespace sf::k8s {
 /// to T{} so captured resources (pre-stop hooks, label maps) release
 /// immediately rather than lingering until reuse.
 ///
-/// Lookups go through a hash index sharded by key hash (string_views into
-/// the ordered index's own keys, so each name is stored once): at 10k pods
-/// a find() is O(1) instead of an O(log n) walk of string compares, while
-/// iteration keeps the deterministic name order from the ordered index.
+/// Lookups go through one hash index, an unordered_map of string_views
+/// into the ordered index's own keys (so each name is stored once): at
+/// 10k pods a find() is O(1) instead of an O(log n) walk of string
+/// compares, while iteration keeps the deterministic name order from the
+/// ordered index.
 template <typename T>
 class NamedStore {
  public:

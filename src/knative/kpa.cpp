@@ -5,6 +5,12 @@
 
 namespace sf::knative {
 
+namespace {
+// Panic starts when the panic-window demand reaches this multiple of the
+// current replicas.
+constexpr double kPanicThreshold = 2.0;
+}  // namespace
+
 void KpaScaler::prune(sim::SimTime t) {
   while (!samples_.empty() &&
          samples_.front().first < t - config_.stable_window_s) {
@@ -62,7 +68,7 @@ KpaScaler::Decision KpaScaler::observe(sim::SimTime t, double concurrency,
   // Panic entry: the short window demands a multiple of current capacity.
   const int capacity = std::max(current_replicas, 1);
   if (desired_panic >=
-      static_cast<int>(std::ceil(config_.panic_threshold * capacity))) {
+      static_cast<int>(std::ceil(kPanicThreshold * capacity))) {
     panicking_ = true;
     panic_entered_ = t;
     panic_floor_ = std::max(panic_floor_, current_replicas);

@@ -21,8 +21,6 @@ class KpaScaler {
     int max_scale = 0;  ///< 0 = unlimited
     double stable_window_s = 60.0;
     double panic_window_s = 6.0;
-    /// Panic triggers when panic-window desired >= this factor × current.
-    double panic_threshold = 2.0;
     double scale_to_zero_grace_s = 30.0;
   };
 

@@ -9,6 +9,7 @@
 namespace sf::knative {
 
 namespace {
+constexpr double kAutoscalerTick = 2.0;  ///< KPA evaluation period, seconds
 constexpr int kMaxRouteAttempts = 3;
 /// Admission (429) retries: 50 ms doubling, uncapped within the route
 /// attempt budget, ±50% engine-RNG jitter to spread synchronized bursts.
@@ -226,7 +227,6 @@ void KnativeServing::delete_service(const std::string& name) {
   auto it = revisions_.find(name);
   if (it == revisions_.end()) return;
   Revision& rev = it->second;
-  rev.deleted = true;
   for (auto& [req, respond] : rev.activator) {
     net::HttpResponse resp;
     resp.status = net::kStatusServiceUnavailable;
@@ -581,11 +581,9 @@ void KnativeServing::apply_scale(Revision& rev, int desired) {
 
 void KnativeServing::ensure_ticking(const std::string& service) {
   auto it = revisions_.find(service);
-  if (it == revisions_.end() || it->second.ticking || it->second.deleted) {
-    return;
-  }
+  if (it == revisions_.end() || it->second.ticking) return;
   it->second.ticking = true;
-  kube_.cluster().sim().call_in(it->second.spec.annotations.tick_s,
+  kube_.cluster().sim().call_in(kAutoscalerTick,
                                 [this, service] { tick(service); });
 }
 
@@ -594,7 +592,6 @@ void KnativeServing::tick(const std::string& service) {
   if (it == revisions_.end()) return;
   Revision& rev = it->second;
   rev.ticking = false;
-  if (rev.deleted) return;
   const double conc = scrape(rev);
   const auto decision = rev.kpa.observe(kube_.cluster().sim().now(), conc,
                                         rev.current_desired);
@@ -716,9 +713,7 @@ std::uint64_t KnativeServing::requests_routed(
 std::vector<std::string> KnativeServing::service_names() const {
   std::vector<std::string> out;
   out.reserve(revisions_.size());
-  for (const auto& [name, rev] : revisions_) {
-    if (!rev.deleted) out.push_back(name);
-  }
+  for (const auto& [name, rev] : revisions_) out.push_back(name);
   return out;
 }
 

@@ -40,7 +40,6 @@ struct Annotations {
   double stable_window_s = 60.0;
   double panic_window_s = 6.0;
   double scale_to_zero_grace_s = 30.0;
-  double tick_s = 2.0;  ///< autoscaler evaluation period
   /// Per-request timeout enforced by the queue-proxy (Knative's
   /// revision `timeoutSeconds`); 0 = no timeout. Expired requests get a
   /// 504, which the router treats as retryable — so a request stuck
@@ -214,7 +213,7 @@ class KnativeServing {
   [[nodiscard]] const k8s::Endpoint* pick_backend_for_bench(
       const std::string& service);
 
-  /// Names of live (non-deleted) services, in name order — lets the
+  /// Names of the registered services, in name order — lets the
   /// invariant registry enumerate services without reaching into the
   /// revision map.
   [[nodiscard]] std::vector<std::string> service_names() const;
@@ -229,7 +228,6 @@ class KnativeServing {
     KpaScaler kpa{KpaScaler::Config{}};
     int current_desired = 0;
     bool ticking = false;
-    bool deleted = false;
     std::map<std::string, std::unique_ptr<QueueProxy>> proxies;
     std::deque<std::pair<net::HttpRequest, net::Responder>> activator;
     std::size_t rr_cursor = 0;

@@ -113,32 +113,6 @@ double FlowNetwork::latency(NodeId src, NodeId dst) const {
   return nodes_[src].latency + nodes_[dst].latency;
 }
 
-FlowNetwork::Flow* FlowNetwork::find(FlowId id) {
-  const auto slot = static_cast<std::uint32_t>(id & kSlotMask);
-  if (slot >= slots_.size() || slots_[slot].id != id) return nullptr;
-  return &slots_[slot];
-}
-
-std::uint32_t FlowNetwork::alloc_slot() {
-  if (!free_slots_.empty()) {
-    const std::uint32_t slot = free_slots_.back();
-    free_slots_.pop_back();
-    return slot;
-  }
-  const auto slot = static_cast<std::uint32_t>(slots_.size());
-  assert(slot < kDetachedSlot && "FlowNetwork: too many concurrent flows");
-  slots_.emplace_back();
-  return slot;
-}
-
-void FlowNetwork::release_slot(std::uint32_t slot) {
-  Flow& f = slots_[slot];
-  f.id = kNoFlow;
-  f.active = false;
-  f.on_complete = nullptr;
-  free_slots_.push_back(slot);
-}
-
 FlowId FlowNetwork::transfer(NodeId src, NodeId dst, double bytes,
                              sim::Simulation::Callback on_complete) {
   if (src >= nodes_.size() || dst >= nodes_.size()) {
@@ -147,28 +121,22 @@ FlowId FlowNetwork::transfer(NodeId src, NodeId dst, double bytes,
   const double lat = latency(src, dst);
   if (bytes <= 0) {
     // Control message: latency only, no bandwidth consumed. Detached ids
-    // never resolve to a slot, so cancel() correctly reports them unknown.
+    // never resolve to a flow, so cancel() correctly reports them unknown.
     sim_.call_in(lat, std::move(on_complete));
-    return (++next_seq_ << kSlotBits) | kDetachedSlot;
+    return flows_.detached();
   }
   bytes_requested_ += bytes;
-  const std::uint32_t slot = alloc_slot();
-  const FlowId id = (++next_seq_ << kSlotBits) | slot;
-  Flow& f = slots_[slot];
-  f.id = id;
-  f.src = src;
-  f.dst = dst;
-  f.remaining = bytes;
-  f.rate = 0;
-  f.loopback = (src == dst);
-  f.active = false;
-  f.on_complete = std::move(on_complete);
+  const FlowId id = flows_.insert(Flow{.src = src,
+                                       .dst = dst,
+                                       .remaining = bytes,
+                                       .loopback = src == dst,
+                                       .on_complete = std::move(on_complete)});
   // A flaky NIC at either endpoint stalls every Nth bulk flow before it
   // may enter the sharing pool: the stall is decided (and the per-node
   // counter advanced) here at start time, so it is a pure function of
   // flow-start order. Loopback flows never touch the NIC.
   double stall = 0;
-  if (!f.loopback) {
+  if (src != dst) {
     for (const NodeId endpoint : {src, dst}) {
       NodeNic& nic = nodes_[endpoint];
       if (nic.flaky_every == 0) continue;
@@ -179,48 +147,44 @@ FlowId FlowNetwork::transfer(NodeId src, NodeId dst, double bytes,
     }
   }
   // The flow enters the fair-sharing pool after propagation delay; the
-  // capture is three words, so the callback stays allocation-free.
-  sim_.call_in(lat + stall, [this, slot] { activate(slot); });
+  // capture is two words, so the callback stays allocation-free.
+  sim_.call_in(lat + stall, [this, id] { activate(id); });
   return id;
 }
 
-void FlowNetwork::activate(std::uint32_t slot) {
+void FlowNetwork::activate(FlowId id) {
   advance();
-  Flow& f = slots_[slot];
-  assert(f.id != kNoFlow && !f.active);
+  Flow& f = flows_[id];
+  assert(!f.active);
   f.active = true;
   // Keep `order_` sorted by id: activations arrive in latency order, not
   // submission order.
-  const auto pos = std::lower_bound(
-      order_.begin(), order_.end(), f.id,
-      [this](std::uint32_t s, FlowId id) { return slots_[s].id < id; });
-  order_.insert(pos, slot);
+  order_.insert(std::lower_bound(order_.begin(), order_.end(), id), id);
   rebalance();
 }
 
 bool FlowNetwork::cancel(FlowId id) {
-  Flow* f = find(id);
+  const Flow* f = flows_.find(id);
   // Flows still in their latency phase are not "active" yet and keep the
   // pre-flat-table semantics: cancel fails and the flow proceeds.
   if (f == nullptr || !f->active) return false;
   advance();
-  const auto slot = static_cast<std::uint32_t>(id & kSlotMask);
-  bytes_cancelled_ += slots_[slot].remaining;
-  order_.erase(std::find(order_.begin(), order_.end(), slot));
-  release_slot(slot);
+  bytes_cancelled_ += f->remaining;
+  order_.erase(std::find(order_.begin(), order_.end(), id));
+  flows_.take(id);
   rebalance();
   return true;
 }
 
 double FlowNetwork::remaining_bytes(FlowId id) {
   advance();
-  const Flow* f = find(id);
+  const Flow* f = flows_.find(id);
   return (f == nullptr || !f->active) ? -1.0 : f->remaining;
 }
 
 double FlowNetwork::current_rate(FlowId id) {
   advance();
-  const Flow* f = find(id);
+  const Flow* f = flows_.find(id);
   return (f == nullptr || !f->active) ? -1.0 : f->rate;
 }
 
@@ -231,8 +195,8 @@ void FlowNetwork::advance() {
     last_advance_ = now;
     return;
   }
-  for (const std::uint32_t slot : order_) {
-    Flow& f = slots_[slot];
+  for (const FlowId id : order_) {
+    Flow& f = flows_[id];
     const double sent = std::min(f.remaining, f.rate * dt);
     f.remaining -= sent;
     bytes_delivered_ += sent;
@@ -262,8 +226,8 @@ void FlowNetwork::rebalance() {
   egress_nodes_.clear();
   ingress_nodes_.clear();
   std::size_t unfrozen = 0;
-  for (const std::uint32_t slot : order_) {
-    Flow& f = slots_[slot];
+  for (const FlowId id : order_) {
+    Flow& f = flows_[id];
     if (f.loopback) {
       f.rate = loopback_Bps_;
       continue;
@@ -325,8 +289,8 @@ void FlowNetwork::rebalance() {
     if (best_type < 0) break;
     // Freeze that constraint's flows at the fair share and charge every
     // constraint they traverse.
-    for (const std::uint32_t slot : order_) {
-      Flow& f = slots_[slot];
+    for (const FlowId id : order_) {
+      Flow& f = flows_[id];
       if (f.loopback || f.rate >= 0) continue;
       if (best_type == 0 ? f.src != best_node : f.dst != best_node) continue;
       f.rate = best_share;
@@ -341,8 +305,8 @@ void FlowNetwork::rebalance() {
   }
 
   sim::SimTime soonest = sim::kTimeInfinity;
-  for (const std::uint32_t slot : order_) {
-    const Flow& f = slots_[slot];
+  for (const FlowId id : order_) {
+    const Flow& f = flows_[id];
     if (flow_done(f.remaining, f.rate)) {
       soonest = 0;
       break;
@@ -361,28 +325,26 @@ std::vector<std::string> FlowNetwork::self_check() {
   double in_flight = 0;
   std::vector<double> egress(nodes_.size(), 0.0);
   std::vector<double> ingress(nodes_.size(), 0.0);
-  for (const Flow& f : slots_) {
-    if (f.id == kNoFlow) continue;
+  flows_.for_each([&](FlowId id, const Flow& f) {
     in_flight += f.remaining;
     if (f.remaining < -1e-6) {
-      out.push_back("flow " + std::to_string(f.id) +
+      out.push_back("flow " + std::to_string(id) +
                     " has negative remaining bytes");
     }
     if (f.rate < 0) {
-      out.push_back("flow " + std::to_string(f.id) + " has negative rate");
+      out.push_back("flow " + std::to_string(id) + " has negative rate");
     }
-    if (!f.active) continue;
-    if (f.loopback) continue;
+    if (!f.active || f.loopback) return;
     if (oneway_blocked(f.src, f.dst)) {
       if (f.rate != 0) {
-        out.push_back("partitioned flow " + std::to_string(f.id) +
+        out.push_back("partitioned flow " + std::to_string(id) +
                       " still progresses at " + std::to_string(f.rate));
       }
-      continue;
+      return;
     }
     egress[f.src] += f.rate;
     ingress[f.dst] += f.rate;
-  }
+  });
   for (NodeId n = 0; n < nodes_.size(); ++n) {
     const double cap = nodes_[n].bandwidth * nodes_[n].degrade;
     const double slack = cap * 1e-6 + 1.0;
@@ -415,14 +377,13 @@ void FlowNetwork::fire_completions() {
   advance();
   std::vector<sim::Simulation::Callback> done;
   std::size_t kept = 0;
-  for (const std::uint32_t slot : order_) {
-    Flow& f = slots_[slot];
+  for (const FlowId id : order_) {
+    const Flow& f = flows_[id];
     if (flow_done(f.remaining, f.rate)) {
       bytes_rounded_ += f.remaining;  // sub-slack residue, written off
-      done.push_back(std::move(f.on_complete));
-      release_slot(slot);
+      done.push_back(flows_.take(id).on_complete);
     } else {
-      order_[kept++] = slot;
+      order_[kept++] = id;
     }
   }
   order_.resize(kept);

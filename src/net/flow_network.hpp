@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "sim/simulation.hpp"
+#include "sim/slot_table.hpp"
 
 namespace sf::net {
 
@@ -28,9 +29,10 @@ using FlowId = std::uint64_t;
 /// Loopback transfers (src == dst) bypass the NIC and use a separate
 /// memory-bus bandwidth.
 ///
-/// Flows live in a dense slot vector reused through a free-list; a FlowId
-/// is a generation-checked handle ((sequence << 24) | slot), giving O(1)
-/// lookup/cancel without a map. The active set is iterated in ascending-id
+/// Flows live in a sim::SlotTable and a FlowId is its generation-checked
+/// handle, giving O(1) lookup/cancel without a map; a zero-byte transfer
+/// gets a detached id, which names no flow. The active set is iterated in
+/// ascending-id
 /// order (as the former `std::map` did), so fair-share rounds and
 /// completion callbacks stay deterministic. The progressive-filling solver
 /// works on flat per-node residual/live arrays (epoch-stamped, reused
@@ -146,14 +148,6 @@ class FlowNetwork {
   [[nodiscard]] std::uint64_t flaky_stalls() const { return flaky_stalls_; }
 
  private:
-  static constexpr unsigned kSlotBits = 24;
-  static constexpr FlowId kSlotMask = (FlowId{1} << kSlotBits) - 1;
-  static constexpr FlowId kNoFlow = 0;
-  /// Slot value encoded into ids of latency-only (zero-byte) transfers,
-  /// which never join the sharing pool.
-  static constexpr std::uint32_t kDetachedSlot =
-      static_cast<std::uint32_t>(kSlotMask);
-
   struct NodeNic {
     double bandwidth = 0;
     double latency = 0;
@@ -163,7 +157,6 @@ class FlowNetwork {
     std::uint32_t flow_counter = 0;  ///< bulk flows seen while flaky
   };
   struct Flow {
-    FlowId id = kNoFlow;  ///< Full handle occupying this slot; 0 = free.
     NodeId src = 0;
     NodeId dst = 0;
     double remaining = 0;
@@ -178,24 +171,19 @@ class FlowNetwork {
     return (std::uint64_t{a} << 32) | b;
   }
 
-  Flow* find(FlowId id);
-  std::uint32_t alloc_slot();
-  void release_slot(std::uint32_t slot);
-  void activate(std::uint32_t slot);
+  void activate(FlowId id);
   void advance();
   void rebalance();
   void fire_completions();
 
   sim::Simulation& sim_;
   std::vector<NodeNic> nodes_;
-  std::vector<Flow> slots_;
-  std::vector<std::uint32_t> free_slots_;
-  /// Active slots in ascending-id order: deterministic iteration.
-  std::vector<std::uint32_t> order_;
+  sim::SlotTable<Flow> flows_;
+  /// Active flows in ascending-id order: deterministic iteration.
+  std::vector<FlowId> order_;
   double loopback_Bps_ = 8e9;  // ~8 GB/s memory-bus copy
   sim::SimTime last_advance_ = 0;
   sim::EventId completion_event_ = sim::kNoEvent;
-  std::uint64_t next_seq_ = 0;
   double bytes_delivered_ = 0;
   // Byte-conservation ledger, read only by self_check().
   double bytes_requested_ = 0;

@@ -8,29 +8,15 @@
 namespace sf::sim {
 
 EventId EventQueue::schedule(SimTime t, Callback fn) {
-  std::uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(slots_.size());
-    assert(slots_.size() <= kSlotMask && "EventQueue: too many live events");
-    slots_.emplace_back();
-  }
-  const EventId id = (++total_scheduled_ << kSlotBits) | slot;
-  Slot& s = slots_[slot];
-  s.id = id;
-  s.fn = std::move(fn);
-  const Entry e{key_of(t), id};
+  const Entry e{key_of(t), callbacks_.insert(std::move(fn))};
   if (e.key < base_) rebase(e.key);
   file(e);
-  ++live_;
-  return id;
+  return e.id;
 }
 
 void EventQueue::rebase(std::uint64_t key) {
   std::vector<Entry> pending;
-  pending.reserve(live_);
+  pending.reserve(size());
   for (unsigned b = 0; b < buckets_.size(); ++b) {
     auto& bucket = buckets_[b];
     for (std::size_t i = b == 0 ? head_ : 0; i < bucket.size(); ++i) {
@@ -71,8 +57,6 @@ bool EventQueue::take(std::uint64_t limit, Entry& out) {
       return false;
     }
   }
-  release_slot(static_cast<std::uint32_t>(out.id & kSlotMask));
-  --live_;
   return true;
 }
 
@@ -109,17 +93,9 @@ bool EventQueue::refill(std::uint64_t limit, Entry& out) {
   return false;
 }
 
-void EventQueue::release_slot(std::uint32_t slot) {
-  slots_[slot].id = kNoEvent;
-  free_slots_.push_back(slot);
-}
-
 bool EventQueue::cancel(EventId id) {
-  const auto slot = static_cast<std::uint32_t>(id & kSlotMask);
-  if (slot >= slots_.size() || slots_[slot].id != id) return false;
-  slots_[slot].fn = nullptr;  // destroy the callback eagerly
-  release_slot(slot);
-  --live_;
+  if (callbacks_.find(id) == nullptr) return false;
+  callbacks_.take(id);  // destroys the callback at once
   return true;
 }
 
@@ -127,20 +103,19 @@ EventQueue::Fired EventQueue::pop() {
   Entry e{};
   [[maybe_unused]] const bool taken = take(~std::uint64_t{0}, e);
   assert(taken && "pop() on empty EventQueue");
-  return Fired{time_of(e.key), e.id, std::move(slots_[e.id & kSlotMask].fn)};
+  return Fired{time_of(e.key), e.id, callbacks_.take(e.id)};
 }
 
 std::optional<EventQueue::Fired> EventQueue::pop_until(SimTime limit) {
   Entry e{};
   // Nothing is at most a NaN limit.
   if (std::isnan(limit) || !take(key_of(limit), e)) return std::nullopt;
-  // Built in place: the callback moves once, out of its slot.
   return std::optional<Fired>(std::in_place, time_of(e.key), e.id,
-                              std::move(slots_[e.id & kSlotMask].fn));
+                              callbacks_.take(e.id));
 }
 
 SimTime EventQueue::next_time() const {
-  if (live_ == 0) return kTimeInfinity;
+  if (empty()) return kTimeInfinity;
   const auto& near = buckets_[0];
   for (std::size_t i = head_; i < near.size(); ++i) {
     if (live(near[i])) return time_of(base_);
@@ -165,9 +140,8 @@ std::vector<std::string> EventQueue::self_check() const {
     return "event " + std::to_string(e.id) + " at t=" +
            std::to_string(time_of(e.key));
   };
-  // Each live slot must be named by exactly one non-tombstone entry.
-  std::vector<std::uint32_t> filed(slots_.size(), 0);
-  std::size_t live_entries = 0;
+  // Each live callback must be named by exactly one non-tombstone entry.
+  std::vector<EventId> filed;
   std::uint64_t min = ~std::uint64_t{0};
   for (unsigned b = 0; b < buckets_.size(); ++b) {
     const auto& bucket = buckets_[b];
@@ -190,29 +164,26 @@ std::vector<std::string> EventQueue::self_check() const {
                       entry_name(e));
       }
       if (!live(e)) continue;
-      ++live_entries;
-      ++filed[e.id & kSlotMask];
+      filed.push_back(e.id);
       min = std::min(min, e.key);
     }
   }
-  std::size_t live_slots = 0;
-  for (std::size_t s = 0; s < slots_.size(); ++s) {
-    if (slots_[s].id == kNoEvent) continue;
-    ++live_slots;
-    if (filed[s] != 1) {
-      out.push_back("event queue: live event " + std::to_string(slots_[s].id) +
-                    " filed " + std::to_string(filed[s]) + " times");
+  std::sort(filed.begin(), filed.end());
+  std::size_t live_callbacks = 0;
+  callbacks_.for_each([&](EventId id, const Callback&) {
+    ++live_callbacks;
+    const auto [lo, hi] = std::equal_range(filed.begin(), filed.end(), id);
+    if (hi - lo != 1) {
+      out.push_back("event queue: live event " + std::to_string(id) +
+                    " filed " + std::to_string(hi - lo) + " times");
     }
+  });
+  if (live_callbacks != size() || filed.size() != size()) {
+    out.push_back("event queue: live count " + std::to_string(size()) +
+                  ", live callbacks " + std::to_string(live_callbacks) +
+                  ", live entries " + std::to_string(filed.size()));
   }
-  if (live_slots != live_ || live_entries != live_ ||
-      live_slots + free_slots_.size() != slots_.size()) {
-    out.push_back("event queue: live count " + std::to_string(live_) +
-                  ", live slots " + std::to_string(live_slots) +
-                  ", live entries " + std::to_string(live_entries) +
-                  ", free slots " + std::to_string(free_slots_.size()) +
-                  " of " + std::to_string(slots_.size()));
-  }
-  const SimTime earliest = live_entries != 0 ? time_of(min) : kTimeInfinity;
+  const SimTime earliest = filed.empty() ? kTimeInfinity : time_of(min);
   if (next_time() != earliest) {
     out.push_back("event queue: next_time() " + std::to_string(next_time()) +
                   " but the earliest live entry is at t=" +

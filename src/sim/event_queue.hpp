@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "sim/inline_function.hpp"
+#include "sim/slot_table.hpp"
 #include "sim/types.hpp"
 
 namespace sf::sim {
@@ -39,17 +40,12 @@ namespace sf::sim {
 /// Simulation never schedules before its clock) re-files every pending
 /// entry against the new key, in O(n).
 ///
-/// Callbacks live in a slot vector reused through a free list (no
-/// per-event allocation for small captures thanks to InlineFunction).
-/// cancel() validates the id and frees the slot at once; its entry stays
-/// behind as a tombstone until the scan of its bucket drops it, which
-/// happens before any later key is popped.
-///
-/// An EventId encodes (sequence << 24) | slot. The sequence number strictly
-/// increases with every schedule() call, so ids remain monotonic even when
-/// slots are reused; the low bits give O(1) cancellation without a hash
-/// lookup. The split supports ~1.1e12 lifetime events and 16M concurrent
-/// events, both far beyond any simulated scenario.
+/// Callbacks live in a SlotTable (no per-event allocation for small
+/// captures thanks to InlineFunction), and an EventId is its handle: ids
+/// strictly increase with every schedule() call, and cancel() is O(1)
+/// without a hash lookup. cancel() frees the callback at once; its entry
+/// stays behind as a tombstone until the scan of its bucket drops it,
+/// which happens before any later key is popped.
 class EventQueue {
  public:
   using Callback = InlineFunction;
@@ -68,10 +64,10 @@ class EventQueue {
   bool cancel(EventId id);
 
   /// True when no live events remain.
-  [[nodiscard]] bool empty() const { return live_ == 0; }
+  [[nodiscard]] bool empty() const { return size() == 0; }
 
   /// Number of live (non-cancelled, not yet fired) events.
-  [[nodiscard]] std::size_t size() const { return live_; }
+  [[nodiscard]] std::size_t size() const { return callbacks_.size(); }
 
   /// Time of the earliest live event; kTimeInfinity when empty. A pure
   /// read: it never moves the base.
@@ -95,27 +91,19 @@ class EventQueue {
   /// Total events ever scheduled (statistics / debugging). Counts every
   /// schedule() call, including events later cancelled or already fired.
   [[nodiscard]] std::uint64_t total_scheduled() const {
-    return total_scheduled_;
+    return callbacks_.issued();
   }
 
-  /// Checks the queue's structure against its live slots; one message
+  /// Checks the queue's structure against its live callbacks; one message
   /// per fault, empty when sound. A pure read.
   [[nodiscard]] std::vector<std::string> self_check() const;
 
  private:
-  /// Low bits of an EventId addressing the callback slot.
-  static constexpr unsigned kSlotBits = 24;
-  static constexpr EventId kSlotMask = (EventId{1} << kSlotBits) - 1;
   static constexpr std::uint64_t kSignBit = std::uint64_t{1} << 63;
 
   struct Entry {
     std::uint64_t key;
-    EventId id;  ///< tie-break, and its low bits name the slot
-  };
-
-  struct Slot {
-    EventId id = kNoEvent;  ///< Full id occupying this slot; kNoEvent = free.
-    Callback fn;
+    EventId id;  ///< tie-break, and the callback's handle
   };
 
   /// Order-preserving key of a time: key order is time order, and the two
@@ -132,7 +120,7 @@ class EventQueue {
     return static_cast<unsigned>(std::bit_width(key ^ base_));
   }
   [[nodiscard]] bool live(const Entry& e) const {
-    return slots_[e.id & kSlotMask].id == e.id;
+    return callbacks_.live(e.id);
   }
 
   /// Appends `e` to its bucket under the current base.
@@ -143,24 +131,20 @@ class EventQueue {
   }
   /// Re-files every pending entry against `key`, which is below the base.
   void rebase(std::uint64_t key);
-  /// Removes the earliest live entry into `out` and frees its slot,
-  /// leaving the callback there for the caller to move out, if its key is
-  /// at most `limit`. Returns false, with the base unchanged, otherwise.
+  /// Removes the earliest live entry into `out` if its key is at most
+  /// `limit`, leaving its callback in the table for the caller to take.
+  /// Returns false, with the base unchanged, otherwise.
   bool take(std::uint64_t limit, Entry& out);
   /// take() once bucket 0 is spent and the lowest non-empty bucket is not
   /// one live entry: scans that bucket and re-files it.
   bool refill(std::uint64_t limit, Entry& out);
-  void release_slot(std::uint32_t slot);
 
-  // The scalars and slot tables come first, beside bucket 0: one pop
-  // touches them all.
+  // The scalars and the callback table come first, beside bucket 0: one
+  // pop touches them all.
   std::size_t head_ = 0;     ///< next unread entry of bucket 0
   std::uint64_t base_ = 0;   ///< key of the last popped event
   std::uint64_t mask_ = 0;   ///< bit i-1 set iff bucket i >= 1 is non-empty
-  std::size_t live_ = 0;
-  std::vector<Slot> slots_;
-  std::vector<std::uint32_t> free_slots_;
-  std::uint64_t total_scheduled_ = 0;
+  SlotTable<Callback> callbacks_;
   /// Buckets 0..64; bucket_of() of a key is its index.
   std::array<std::vector<Entry>, 65> buckets_;
 };

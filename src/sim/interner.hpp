@@ -10,9 +10,9 @@ namespace sf::sim {
 
 /// Interned object-name handle: a dense uint32 standing in for a string
 /// ("pod-fn-matmul-00001-3", "node-17", "knative") everywhere object names
-/// used to be copied — watch events, trace records, store keys, endpoint
-/// references. Comparing, hashing and copying an ObjectId is one word;
-/// the side table recovers the spelling on the (cold) output path.
+/// used to be copied — watch events, store keys, endpoint references.
+/// Comparing, hashing and copying an ObjectId is one word; the side table
+/// recovers the spelling on the (cold) output path.
 using ObjectId = std::uint32_t;
 
 /// Id of the empty string — every Interner hands it out for "" and it is

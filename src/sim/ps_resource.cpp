@@ -1,7 +1,6 @@
 #include "sim/ps_resource.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -29,12 +28,6 @@ PsResource::PsResource(Simulation& sim, double capacity, std::string name)
   last_advance_ = sim_.now();
 }
 
-PsResource::Job* PsResource::find(JobId id) {
-  const auto slot = static_cast<std::uint32_t>(id & kSlotMask);
-  if (slot >= slots_.size() || slots_[slot].id != id) return nullptr;
-  return &slots_[slot];
-}
-
 PsResource::JobId PsResource::submit(double work, Callback on_complete,
                                      double rate_cap, double weight) {
   if (rate_cap < 0) {
@@ -44,44 +37,22 @@ PsResource::JobId PsResource::submit(double work, Callback on_complete,
     throw std::invalid_argument("PsResource::submit: non-positive weight");
   }
   advance();
-  std::uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(slots_.size());
-    assert(slots_.size() <= kSlotMask && "PsResource: too many active jobs");
-    slots_.emplace_back();
-  }
-  const JobId id = (++next_seq_ << kSlotBits) | slot;
-  Job& job = slots_[slot];
-  job.id = id;
-  job.remaining = std::max(work, 0.0);
-  job.weight = weight;
-  job.cap = rate_cap;
-  job.rate = 0;
-  job.on_complete = std::move(on_complete);
-  order_.push_back(slot);  // ids are monotonic: append keeps id order
+  const JobId id = jobs_.insert(Job{.remaining = std::max(work, 0.0),
+                                    .weight = weight,
+                                    .cap = rate_cap,
+                                    .on_complete = std::move(on_complete)});
+  order_.push_back(id);  // ids are monotonic: append keeps id order
   if (sum_w_valid_) sum_w_cache_ += weight;
   rates_dirty_ = true;
   rebalance();
   return id;
 }
 
-void PsResource::release_slot(std::uint32_t slot) {
-  Job& job = slots_[slot];
-  job.id = kNoJob;
-  job.on_complete = nullptr;
-  free_slots_.push_back(slot);
-}
-
 bool PsResource::cancel(JobId id) {
-  Job* job = find(id);
-  if (job == nullptr) return false;
+  if (jobs_.find(id) == nullptr) return false;
   advance();
-  const auto slot = static_cast<std::uint32_t>(id & kSlotMask);
-  order_.erase(std::find(order_.begin(), order_.end(), slot));
-  release_slot(slot);
+  order_.erase(std::find(order_.begin(), order_.end(), id));
+  jobs_.take(id);
   sum_w_valid_ = false;  // removal breaks the left-to-right prefix sum
   rates_dirty_ = true;
   rebalance();
@@ -92,7 +63,7 @@ std::size_t PsResource::cancel_all() {
   const std::size_t n = order_.size();
   if (n == 0) return 0;
   advance();
-  for (const std::uint32_t slot : order_) release_slot(slot);
+  for (const JobId id : order_) jobs_.take(id);
   order_.clear();
   sum_w_valid_ = false;
   rates_dirty_ = true;
@@ -104,7 +75,7 @@ bool PsResource::set_rate_cap(JobId id, double rate_cap) {
   if (rate_cap < 0) {
     throw std::invalid_argument("PsResource::set_rate_cap: negative cap");
   }
-  Job* job = find(id);
+  Job* job = jobs_.find(id);
   if (job == nullptr) return false;
   advance();
   if (job->cap != rate_cap) {
@@ -129,19 +100,19 @@ void PsResource::set_capacity(double capacity) {
 
 double PsResource::remaining(JobId id) {
   advance();
-  const Job* job = find(id);
+  const Job* job = jobs_.find(id);
   return job == nullptr ? -1.0 : job->remaining;
 }
 
 double PsResource::current_rate(JobId id) {
   advance();
-  const Job* job = find(id);
+  const Job* job = jobs_.find(id);
   return job == nullptr ? -1.0 : job->rate;
 }
 
 double PsResource::utilization() const {
   double total = 0;
-  for (const std::uint32_t slot : order_) total += slots_[slot].rate;
+  for (const JobId id : order_) total += jobs_[id].rate;
   return total;
 }
 
@@ -152,8 +123,8 @@ void PsResource::advance() {
     last_advance_ = now;
     return;
   }
-  for (const std::uint32_t slot : order_) {
-    Job& job = slots_[slot];
+  for (const JobId id : order_) {
+    Job& job = jobs_[id];
     job.remaining = std::max(0.0, job.remaining - job.rate * dt);
   }
   last_advance_ = now;
@@ -180,7 +151,7 @@ void PsResource::recompute_and_schedule() {
   if (order_.empty()) return;
   if (!sum_w_valid_) {
     double sum_w = 0;
-    for (const std::uint32_t slot : order_) sum_w += slots_[slot].weight;
+    for (const JobId id : order_) sum_w += jobs_[id].weight;
     sum_w_cache_ = sum_w;
     sum_w_valid_ = true;
   }
@@ -195,8 +166,8 @@ void PsResource::recompute_and_schedule() {
   // terminal uncapped round).
   SimTime soonest = kTimeInfinity;
   bool done_now = false;
-  for (const std::uint32_t slot : order_) {
-    Job& job = slots_[slot];
+  for (const JobId id : order_) {
+    Job& job = jobs_[id];
     const double fair = lambda * job.weight;
     if (job.cap < fair) {
       recompute_rates();
@@ -230,13 +201,11 @@ void PsResource::recompute_rates() {
   double cap_left = capacity_;
   while (!open_scratch_.empty()) {
     double sum_w = 0;
-    for (const std::uint32_t slot : open_scratch_) {
-      sum_w += slots_[slot].weight;
-    }
+    for (const JobId id : open_scratch_) sum_w += jobs_[id].weight;
     const double lambda = cap_left / sum_w;
     bool any_capped = false;
     for (auto it = open_scratch_.begin(); it != open_scratch_.end();) {
-      Job& job = slots_[*it];
+      Job& job = jobs_[*it];
       if (job.cap < lambda * job.weight) {
         job.rate = job.cap;
         cap_left -= job.cap;
@@ -247,8 +216,8 @@ void PsResource::recompute_rates() {
       }
     }
     if (!any_capped) {
-      for (const std::uint32_t slot : open_scratch_) {
-        Job& job = slots_[slot];
+      for (const JobId id : open_scratch_) {
+        Job& job = jobs_[id];
         job.rate = lambda * job.weight;
       }
       break;
@@ -260,8 +229,8 @@ void PsResource::schedule_next_completion() {
   // Schedule the earliest completion (or an immediate one for zero-work
   // jobs) as a single cancellable event.
   SimTime soonest = kTimeInfinity;
-  for (const std::uint32_t slot : order_) {
-    const Job& job = slots_[slot];
+  for (const JobId id : order_) {
+    const Job& job = jobs_[id];
     if (job_done(job.remaining, job.rate)) {
       soonest = 0;
       break;
@@ -280,13 +249,12 @@ void PsResource::fire_completions() {
   advance();
   std::vector<Callback> done;
   std::size_t kept = 0;
-  for (const std::uint32_t slot : order_) {
-    Job& job = slots_[slot];
+  for (const JobId id : order_) {
+    const Job& job = jobs_[id];
     if (job_done(job.remaining, job.rate)) {
-      done.push_back(std::move(job.on_complete));
-      release_slot(slot);
+      done.push_back(jobs_.take(id).on_complete);
     } else {
-      order_[kept++] = slot;
+      order_[kept++] = id;
     }
   }
   order_.resize(kept);

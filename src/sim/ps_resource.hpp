@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "sim/simulation.hpp"
+#include "sim/slot_table.hpp"
 #include "sim/types.hpp"
 
 namespace sf::sim {
@@ -22,11 +23,11 @@ namespace sf::sim {
 /// cap changes, remaining work is advanced at the old rates and the next
 /// completion event is rescheduled — the classic PS discrete-event pattern.
 ///
-/// Jobs live in a dense slot vector reused through a free-list; a JobId is a
-/// generation-checked handle ((sequence << 24) | slot), so lookups are O(1)
-/// and stale ids are rejected without a map. Iteration (fair-share rounds,
-/// completion callbacks) follows submission order — ids are monotonic, so
-/// this matches the former by-id `std::map` order exactly. Rates are only
+/// Jobs live in a SlotTable and a JobId is its generation-checked handle,
+/// so lookups are O(1) and stale ids are rejected without a map.
+/// Iteration (fair-share rounds, completion callbacks) follows submission
+/// order — ids are monotonic, so this matches the former by-id `std::map`
+/// order exactly. Rates are only
 /// recomputed when the active set, a cap/weight, or the capacity actually
 /// changed (dirty flag); queries merely advance remaining work.
 class PsResource {
@@ -77,12 +78,7 @@ class PsResource {
   static constexpr double kNoCap = 1e300;
 
  private:
-  static constexpr unsigned kSlotBits = 24;
-  static constexpr JobId kSlotMask = (JobId{1} << kSlotBits) - 1;
-  static constexpr JobId kNoJob = 0;
-
   struct Job {
-    JobId id = kNoJob;  ///< Full handle occupying this slot; kNoJob = free.
     double remaining = 0;
     double weight = 1;
     double cap = kNoCap;
@@ -90,7 +86,6 @@ class PsResource {
     Callback on_complete;
   };
 
-  Job* find(JobId id);
   /// Advances remaining work to sim.now() at current rates.
   void advance();
   /// Recomputes fair-share rates (when dirty) and reschedules the next
@@ -102,20 +97,17 @@ class PsResource {
   void recompute_rates();
   void schedule_next_completion();
   void fire_completions();
-  void release_slot(std::uint32_t slot);
 
   Simulation& sim_;
   double capacity_;
   std::string name_;
-  std::vector<Job> slots_;
-  std::vector<std::uint32_t> free_slots_;
-  /// Active slots in submission (= ascending id) order: deterministic
+  SlotTable<Job> jobs_;
+  /// Active jobs in submission (= ascending id) order: deterministic
   /// iteration for fair sharing and completion callbacks.
-  std::vector<std::uint32_t> order_;
-  std::vector<std::uint32_t> open_scratch_;  ///< water-filling workspace
+  std::vector<JobId> order_;
+  std::vector<JobId> open_scratch_;  ///< water-filling workspace
   SimTime last_advance_ = 0;
   EventId completion_event_ = kNoEvent;
-  std::uint64_t next_seq_ = 0;
   bool rates_dirty_ = false;
   /// Running sum of active weights. Appending a job extends the left-to-
   /// right summation over order_, so the cached value stays bit-identical

@@ -2,49 +2,32 @@
 
 namespace sf::sim {
 
+void TraceRecorder::append(SimTime t, std::string_view category,
+                           std::string_view name,
+                           std::initializer_list<Attr> attrs) {
+  events_.push_back({t, std::string(category), std::string(name),
+                     {attrs.begin(), attrs.end()}});
+}
+
 std::vector<TraceRecorder::EventView> TraceRecorder::find(
     std::string_view category, std::string_view name) const {
   std::vector<EventView> out;
-  const ObjectId cat_id = ids_.lookup(category);
-  if (cat_id == kEmptyId && !category.empty()) return out;  // never recorded
-  const bool any_name = name.empty();
-  const ObjectId name_id = ids_.lookup(name);
-  if (!any_name && name_id == kEmptyId) return out;
-  for (std::size_t i = 0; i < records_.size(); ++i) {
-    const Record& rec = records_[i];
-    if (rec.category == cat_id && (any_name || rec.name == name_id)) {
+  for (std::size_t i = 0; i < events_.size(); ++i) {
+    const Event& e = events_[i];
+    if (e.category == category && (name.empty() || e.name == name)) {
       out.push_back(EventView(this, i));
     }
   }
   return out;
 }
 
-std::size_t TraceRecorder::count(std::string_view category,
-                                 std::string_view name) const {
-  const ObjectId cat_id = ids_.lookup(category);
-  if (cat_id == kEmptyId && !category.empty()) return 0;
-  const bool any_name = name.empty();
-  const ObjectId name_id = ids_.lookup(name);
-  if (!any_name && name_id == kEmptyId) return 0;
-  std::size_t n = 0;
-  for (std::size_t i = 0; i < records_.size(); ++i) {
-    const Record& rec = records_[i];
-    if (rec.category == cat_id && (any_name || rec.name == name_id)) ++n;
-  }
-  return n;
-}
-
 void TraceRecorder::write_csv(std::ostream& os) const {
   os << "time,category,name,attrs\n";
-  for (std::size_t i = 0; i < records_.size(); ++i) {
-    const Record& rec = records_[i];
-    os << rec.time << ',' << ids_.name(rec.category) << ','
-       << ids_.name(rec.name) << ',';
-    for (std::uint32_t a = 0; a < rec.attr_count; ++a) {
-      const AttrRecord& attr = attrs_[rec.attr_begin + a];
+  for (const Event& e : events_) {
+    os << e.time << ',' << e.category << ',' << e.name << ',';
+    for (std::size_t a = 0; a < e.attrs.size(); ++a) {
       if (a != 0) os << ';';
-      os << ids_.name(attr.key) << '='
-         << std::string_view(attr.value, attr.len);
+      os << e.attrs[a].first << '=' << e.attrs[a].second;
     }
     os << '\n';
   }

@@ -124,5 +124,28 @@ TEST_F(EventDrivenTest, ServiceLossFailsTheRun) {
   EXPECT_FALSE(ok);
 }
 
+// The task service gets every serving knob of the policy, not only the
+// scaling ones: the same mapping ServerlessIntegration applies.
+TEST(EventDrivenSetup, TaskServiceCarriesEveryPolicyKnob) {
+  PaperTestbed fresh(7);
+  knative::Broker fresh_broker(fresh.serving(), fresh.cluster().node(0));
+  EventDrivenRunner fresh_runner(fresh.serving(), fresh_broker,
+                                 fresh.calibration());
+  ProvisioningPolicy policy = ProvisioningPolicy::prestaged(2);
+  policy.request_timeout_s = 7;
+  policy.route_timeout_s = 3;
+  policy.outlier.enabled = true;
+  policy.admission.fill_rate_hz = 50;
+  fresh_runner.setup(policy);
+  const knative::Annotations* a =
+      fresh.serving().service_annotations(EventDrivenRunner::kTaskService);
+  ASSERT_NE(a, nullptr);
+  EXPECT_EQ(a->min_scale, 2);
+  EXPECT_EQ(a->request_timeout_s, 7);
+  EXPECT_EQ(a->route_timeout_s, 3);
+  EXPECT_TRUE(a->outlier.enabled);
+  EXPECT_EQ(a->admission.fill_rate_hz, 50);
+}
+
 }  // namespace
 }  // namespace sf::core

@@ -215,6 +215,21 @@ TEST_F(FlowNetworkTest, RemainingBytesProgress) {
   EXPECT_DOUBLE_EQ(net.remaining_bytes(id), -1.0);
 }
 
+TEST_F(FlowNetworkTest, StaleIdIsRefusedAfterItsSlotIsReused) {
+  const FlowId stale = net.transfer(a, b, 100.0, [] {});
+  sim.run_until(0.1);  // past the latency phase: the flow is active
+  ASSERT_TRUE(net.cancel(stale));
+  bool done = false;
+  const FlowId fresh = net.transfer(a, b, 100.0, [&] { done = true; });
+  sim.run_until(0.2);
+  EXPECT_DOUBLE_EQ(net.remaining_bytes(stale), -1.0);
+  EXPECT_FALSE(net.cancel(stale));
+  EXPECT_NEAR(net.remaining_bytes(fresh), 92.0, 1e-6);
+  sim.run();
+  EXPECT_TRUE(done);
+  EXPECT_NEAR(sim.now(), 1.12, 1e-9);
+}
+
 TEST_F(FlowNetworkTest, TotalBytesDeliveredAccumulates) {
   net.transfer(a, b, 100.0, [] {});
   net.transfer(b, c, 40.0, [] {});

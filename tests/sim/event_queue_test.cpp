@@ -277,5 +277,19 @@ TEST(EventQueue, EventAtInfinityPopsLast) {
   EXPECT_EQ(q.pop().id, inf);
 }
 
+TEST(EventQueue, CancelRefusesAnIdWhoseSlotWasReused) {
+  EventQueue q;
+  const EventId stale = q.schedule(1.0, [] {});
+  ASSERT_TRUE(q.cancel(stale));
+  bool fired = false;
+  const EventId fresh = q.schedule(2.0, [&] { fired = true; });
+  EXPECT_FALSE(q.cancel(stale));
+  EXPECT_EQ(q.size(), 1u);
+  auto next = q.pop();
+  EXPECT_EQ(next.id, fresh);
+  next.fn();
+  EXPECT_TRUE(fired);
+}
+
 }  // namespace
 }  // namespace sf::sim

@@ -311,6 +311,21 @@ TEST_P(PsFairnessSweep, MakespanMatchesTheory) {
   EXPECT_NEAR(last, expected, 1e-6);
 }
 
+TEST(PsResource, StaleIdIsRefusedAfterItsSlotIsReused) {
+  Simulation sim;
+  PsResource cpu(sim, 1.0);
+  const PsResource::JobId stale = cpu.submit(10.0, [] {});
+  ASSERT_TRUE(cpu.cancel(stale));
+  bool done = false;
+  const PsResource::JobId fresh = cpu.submit(4.0, [&] { done = true; });
+  EXPECT_DOUBLE_EQ(cpu.remaining(stale), -1.0);
+  EXPECT_FALSE(cpu.cancel(stale));
+  EXPECT_DOUBLE_EQ(cpu.remaining(fresh), 4.0);
+  sim.run();
+  EXPECT_TRUE(done);
+  EXPECT_DOUBLE_EQ(sim.now(), 4.0);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Grid, PsFairnessSweep,
     ::testing::Values(PsSweep{1, 1}, PsSweep{2, 1}, PsSweep{5, 1},

@@ -1,5 +1,5 @@
 // Direct TraceRecorder unit tests: enable/disable gating, record
-// ordering, arena pooling, and flush formatting. (Filter/CSV-escaping/
+// ordering, storage at volume, and flush formatting. (Filter/CSV-escaping/
 // clear coverage lives in random_trace_test.cpp.)
 
 #include "sim/trace.hpp"
@@ -97,14 +97,14 @@ TEST(TraceFlush, FlushDoesNotConsumeEvents) {
   EXPECT_EQ(tr.size(), 1u);
 }
 
-// Arena storage: views and the values behind them survive crossing chunk
-// boundaries (4096 records, 64 KiB of value bytes) — nothing is ever
-// reallocated out from under an EventView.
+// Storage at volume: 10,000 records with 1 KB values each (10 MB) keep
+// every record and value intact, and views taken afterwards read them
+// back exactly.
 TEST(TraceArena, ViewsStableAcrossChunkBoundaries) {
   TraceRecorder tr;
   tr.set_enabled(true);
-  const std::string big(1000, 'x');  // ~65 records per value chunk
-  constexpr int kN = 10000;          // > 2 record chunks, > 100 value chunks
+  const std::string big(1000, 'x');
+  constexpr int kN = 10000;
   for (int i = 0; i < kN; ++i) {
     tr.record(i, "arena", "fill", {{"i", std::to_string(i)}, {"pad", big}});
   }
@@ -117,9 +117,8 @@ TEST(TraceArena, ViewsStableAcrossChunkBoundaries) {
   EXPECT_EQ(last.attr("pad"), big);
 }
 
-// clear() pools the chunks: refilling after a clear reproduces identical
-// output (the bench pattern — clear per iteration, zero steady-state
-// allocation — depends on this being a pure reset).
+// clear() is a pure reset: refilling after a clear reproduces identical
+// output (the bench pattern clears once per iteration).
 TEST(TraceArena, ClearPoolsAndRefillsIdentically) {
   TraceRecorder tr;
   tr.set_enabled(true);
@@ -139,8 +138,7 @@ TEST(TraceArena, ClearPoolsAndRefillsIdentically) {
   EXPECT_EQ(first.str(), second.str());
 }
 
-// A value larger than a whole 64 KiB chunk takes the overflow path and
-// still round-trips exactly.
+// A 200 KiB value round-trips exactly.
 TEST(TraceArena, OversizedValueRoundTrips) {
   TraceRecorder tr;
   tr.set_enabled(true);
