@@ -264,6 +264,56 @@ FuzzOutcome run_case_checked(const FuzzCase& c) {
   return first;
 }
 
+namespace {
+
+/// One structural reduction of the shrinker's phase 2: when `applies`,
+/// `reduce` moves a field toward its simplest value.
+struct Reduction {
+  bool (*applies)(const FuzzCase&);
+  void (*reduce)(FuzzCase&);
+};
+
+/// Phase 2's reductions, tried in this order on every pass.
+constexpr Reduction kReductions[] = {
+    {[](const FuzzCase& c) { return c.workflows > 1; },
+     [](FuzzCase& c) { c.workflows = 1; }},
+    {[](const FuzzCase& c) { return c.tasks > 2; },
+     [](FuzzCase& c) { c.tasks = 2; }},
+    {[](const FuzzCase& c) { return c.nodes > 3; },
+     [](FuzzCase& c) {
+       c.nodes = c.nodes - 1;
+       // Rack topology must stay valid as the cluster shrinks.
+       c.faults.racks =
+           std::min(c.faults.racks, static_cast<std::uint32_t>(c.nodes - 1));
+     }},
+    {[](const FuzzCase& c) { return c.faults.racks > 1; },
+     [](FuzzCase& c) { c.faults.racks = 1; }},
+    {[](const FuzzCase& c) { return c.serverless_fraction > 0; },
+     [](FuzzCase& c) { c.serverless_fraction = 0; }},
+    {[](const FuzzCase& c) { return c.min_scale > 0; },
+     [](FuzzCase& c) { c.min_scale = 0; }},
+    // The simpler configuration is the one without cold pulls.
+    {[](const FuzzCase& c) { return !c.prestage; },
+     [](FuzzCase& c) { c.prestage = true; }},
+    {[](const FuzzCase& c) { return c.request_timeout_s != 0; },
+     [](FuzzCase& c) { c.request_timeout_s = 0; }},
+    {[](const FuzzCase& c) { return c.outlier_detection; },
+     [](FuzzCase& c) { c.outlier_detection = false; }},
+    {[](const FuzzCase& c) { return c.openloop_users > 0; },
+     [](FuzzCase& c) {
+       c.openloop_users = 0;
+       c.openloop_rate_hz = 0;
+     }},
+    // Catalog outages are skipped without the tier.
+    {[](const FuzzCase& c) { return c.catalog_service; },
+     [](FuzzCase& c) {
+       c.catalog_service = false;
+       c.faults.catalog_outage_mean_s = 0;
+     }},
+};
+
+}  // namespace
+
 ShrinkResult shrink(const FuzzCase& failing, int budget) {
   ShrinkResult res;
   res.reduced = failing;
@@ -318,87 +368,11 @@ ShrinkResult shrink(const FuzzCase& failing, int budget) {
   progress = true;
   while (progress && res.trials < budget) {
     progress = false;
-    {
+    for (const Reduction& step : kReductions) {
+      if (!step.applies(res.reduced)) continue;
       FuzzCase cand = res.reduced;
-      if (cand.workflows > 1) {
-        cand.workflows = 1;
-        progress |= try_reduce(cand);
-      }
-    }
-    {
-      FuzzCase cand = res.reduced;
-      if (cand.tasks > 2) {
-        cand.tasks = 2;
-        progress |= try_reduce(cand);
-      }
-    }
-    {
-      FuzzCase cand = res.reduced;
-      if (cand.nodes > 3) {
-        cand.nodes = cand.nodes - 1;
-        // Rack topology must stay valid as the cluster shrinks.
-        cand.faults.racks = std::min(
-            cand.faults.racks, static_cast<std::uint32_t>(cand.nodes - 1));
-        progress |= try_reduce(cand);
-      }
-    }
-    {
-      FuzzCase cand = res.reduced;
-      if (cand.faults.racks > 1) {
-        cand.faults.racks = 1;
-        progress |= try_reduce(cand);
-      }
-    }
-    {
-      FuzzCase cand = res.reduced;
-      if (cand.serverless_fraction > 0) {
-        cand.serverless_fraction = 0;
-        progress |= try_reduce(cand);
-      }
-    }
-    {
-      FuzzCase cand = res.reduced;
-      if (cand.min_scale > 0) {
-        cand.min_scale = 0;
-        progress |= try_reduce(cand);
-      }
-    }
-    {
-      FuzzCase cand = res.reduced;
-      if (!cand.prestage) {
-        cand.prestage = true;  // the simpler (no cold-pull) configuration
-        progress |= try_reduce(cand);
-      }
-    }
-    {
-      FuzzCase cand = res.reduced;
-      if (cand.request_timeout_s != 0) {
-        cand.request_timeout_s = 0;
-        progress |= try_reduce(cand);
-      }
-    }
-    {
-      FuzzCase cand = res.reduced;
-      if (cand.outlier_detection) {
-        cand.outlier_detection = false;
-        progress |= try_reduce(cand);
-      }
-    }
-    {
-      FuzzCase cand = res.reduced;
-      if (cand.openloop_users > 0) {
-        cand.openloop_users = 0;
-        cand.openloop_rate_hz = 0;
-        progress |= try_reduce(cand);
-      }
-    }
-    {
-      FuzzCase cand = res.reduced;
-      if (cand.catalog_service) {
-        cand.catalog_service = false;
-        cand.faults.catalog_outage_mean_s = 0;  // skipped without the tier
-        progress |= try_reduce(cand);
-      }
+      step.reduce(cand);
+      progress |= try_reduce(cand);
     }
   }
 

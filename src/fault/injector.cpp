@@ -186,33 +186,26 @@ std::vector<FaultEvent> make_fault_plan(std::uint64_t seed,
 
 namespace {
 
-/// Overlap-counted effect: `set(true)` when the first window on a target
-/// opens and `set(false)` when the last one closes, so back-to-back
-/// faults never un-fault each other early and nested windows keep the
-/// FIRST window's setting.
+/// Calls `set(true)` now and `set(false)` `duration_s` later.
 template <typename Set>
-void toggle(int& depth, bool open, const Set& set) {
-  if (open) {
-    if (++depth == 1) set(true);
-  } else if (--depth <= 0) {
-    depth = 0;
-    set(false);
-  }
+void window(sim::Simulation& sim, double duration_s, Set set) {
+  set(true);
+  sim.call_in(duration_s, [set] { set(false); });
 }
 
-/// Opens a window on `depth` now and closes it `duration_s` later.
+/// Overlap-counted factor setter: `set(true)` when the first window on a
+/// target opens and `set(false)` when the last one closes, so
+/// back-to-back faults never un-fault each other early and nested
+/// windows keep the FIRST window's factor.
 template <typename Set>
-void window(sim::Simulation& sim, int& depth, double duration_s, Set set) {
-  toggle(depth, true, set);
-  sim.call_in(duration_s, [&depth, set] { toggle(depth, false, set); });
-}
-
-/// Effect setter for the symmetric cut between cluster nodes `a` and `b`.
-auto symmetric_cut(cluster::Cluster& cluster, std::uint32_t a,
-                   std::uint32_t b) {
-  return [&net = cluster.network(), na = cluster.node(a).net_id(),
-          nb = cluster.node(b).net_id()](bool on) {
-    net.set_partition(na, nb, on);
+auto counted(int& depth, Set set) {
+  return [&depth, set](bool open) {
+    if (open) {
+      if (++depth == 1) set(true);
+    } else if (--depth <= 0) {
+      depth = 0;
+      set(false);
+    }
   };
 }
 
@@ -231,11 +224,7 @@ FaultInjector::FaultInjector(core::PaperTestbed& testbed, FaultConfig cfg,
       plan_(make_fault_plan(seed, cfg, racks_)),
       degrade_depth_(node_count_, 0),
       cpu_slow_depth_(node_count_, 0),
-      flaky_depth_(node_count_, 0),
-      partition_depth_(static_cast<std::size_t>(node_count_) * node_count_,
-                       0),
-      oneway_depth_(static_cast<std::size_t>(node_count_) * node_count_,
-                    0) {}
+      flaky_depth_(node_count_, 0) {}
 
 void FaultInjector::arm() {
   if (armed_) return;
@@ -279,58 +268,57 @@ bool FaultInjector::fire(const FaultEvent& ev) {
     case FaultKind::kPodKill:
       return kill_pod(ev);
     case FaultKind::kLinkDegrade:
-      window(sim, degrade_depth_[ev.node], ev.duration_s,
-             [&net, id = tb_.cluster().node(ev.node).net_id(),
-              factor = ev.factor](bool on) {
-               net.set_node_bandwidth_factor(id, on ? factor : 1.0);
-             });
+      window(sim, ev.duration_s,
+             counted(degrade_depth_[ev.node],
+                     [&net, id = tb_.cluster().node(ev.node).net_id(),
+                      factor = ev.factor](bool on) {
+                       net.set_node_bandwidth_factor(id, on ? factor : 1.0);
+                     }));
       return true;
+    // Cuts: the network counts the open cuts of each pair and direction,
+    // so an overlapping window never heals a link early.
     case FaultKind::kPartition:
-      window(sim, partition_depth_[pair_index(ev.node, ev.peer)],
-             ev.duration_s, symmetric_cut(tb_.cluster(), ev.node, ev.peer));
+      window(sim, ev.duration_s,
+             [&net, a = tb_.cluster().node(ev.node).net_id(),
+              b = tb_.cluster().node(ev.peer).net_id()](bool on) {
+               net.set_partition(a, b, on);
+             });
       return true;
     case FaultKind::kCpuSlow:
-      window(sim, cpu_slow_depth_[ev.node], ev.duration_s,
-             [&node = tb_.cluster().node(ev.node), factor = ev.factor](
-                 bool on) { node.set_cpu_slowdown(on ? factor : 1.0); });
+      window(sim, ev.duration_s,
+             counted(cpu_slow_depth_[ev.node],
+                     [&node = tb_.cluster().node(ev.node),
+                      factor = ev.factor](bool on) {
+                       node.set_cpu_slowdown(on ? factor : 1.0);
+                     }));
       return true;
     case FaultKind::kFlakyNic:
-      window(sim, flaky_depth_[ev.node], ev.duration_s,
-             [&net, id = tb_.cluster().node(ev.node).net_id(),
-              every = cfg_.flaky_nic_every,
-              stall = cfg_.flaky_nic_stall_s](bool on) {
-               net.set_node_flaky(id, on ? every : 0, on ? stall : 0);
-             });
+      window(sim, ev.duration_s,
+             counted(flaky_depth_[ev.node],
+                     [&net, id = tb_.cluster().node(ev.node).net_id(),
+                      every = cfg_.flaky_nic_every,
+                      stall = cfg_.flaky_nic_stall_s](bool on) {
+                       net.set_node_flaky(id, on ? every : 0,
+                                          on ? stall : 0);
+                     }));
       return true;
-    case FaultKind::kRackPartition: {
-      // Cut-set: every {inside, outside} pair of the chosen rack, depth-
-      // counted per pair so an overlapping pairwise partition (or a second
-      // cut of an adjacent rack sharing pairs) never heals a link early.
-      // One heal timer closes the whole set.
-      auto cut = [this, rack = ev.node](bool open) {
+    case FaultKind::kRackPartition:
+      // Cut-set: every {inside, outside} pair of the chosen rack. One heal
+      // timer closes the whole set.
+      window(sim, ev.duration_s, [this, &net, rack = ev.node](bool on) {
         for (const std::uint32_t in : racks_.nodes_in(rack)) {
           for (std::uint32_t out = 0; out < node_count_; ++out) {
             if (racks_.rack_of(out) == rack) continue;
-            toggle(partition_depth_[pair_index(in, out)], open,
-                   symmetric_cut(tb_.cluster(), in, out));
+            net.set_partition(tb_.cluster().node(in).net_id(),
+                              tb_.cluster().node(out).net_id(), on);
           }
         }
-      };
-      cut(true);
-      sim.call_in(ev.duration_s, [cut] { cut(false); });
+      });
       return true;
-    }
     case FaultKind::kOnewayPartition:
-      // Directed depth table (src*n+dst): overlapping windows on the same
-      // direction heal once; the reverse direction is an independent
-      // entry. Deliberately NOT depth-shared with the symmetric table — a
-      // symmetric cut healing must not resurrect a still-open one-way cut
-      // or vice versa, and FlowNetwork already ORs the two tables per
-      // direction.
-      window(sim,
-             oneway_depth_[static_cast<std::size_t>(ev.node) * node_count_ +
-                           ev.peer],
-             ev.duration_s,
+      // The reverse direction and a symmetric cut of the pair are cuts of
+      // their own: FlowNetwork ORs them per direction.
+      window(sim, ev.duration_s,
              [&net, src = tb_.cluster().node(ev.node).net_id(),
               dst = tb_.cluster().node(ev.peer).net_id()](bool on) {
                net.set_partition_oneway(src, dst, on);
@@ -372,21 +360,14 @@ bool FaultInjector::kill_pod(const FaultEvent& ev) {
   return tb_.kube().kill_pod(candidates[ev.pick % candidates.size()]);
 }
 
-std::size_t FaultInjector::pair_index(std::uint32_t a,
-                                      std::uint32_t b) const {
-  const std::uint32_t lo = std::min(a, b);
-  const std::uint32_t hi = std::max(a, b);
-  return static_cast<std::size_t>(lo) * node_count_ + hi;
-}
-
 std::uint64_t FaultInjector::applied_total() const {
   return std::accumulate(applied_.begin(), applied_.end(), std::uint64_t{0});
 }
 
 std::uint64_t FaultInjector::residual_depth() const {
   std::uint64_t total = 0;
-  for (const auto* depths : {&degrade_depth_, &cpu_slow_depth_, &flaky_depth_,
-                             &partition_depth_, &oneway_depth_}) {
+  for (const auto* depths :
+       {&degrade_depth_, &cpu_slow_depth_, &flaky_depth_}) {
     for (const int d : *depths) total += static_cast<std::uint64_t>(d);
   }
   return total;

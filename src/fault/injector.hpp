@@ -280,10 +280,11 @@ class FaultInjector {
   [[nodiscard]] std::uint64_t skipped() const { return skipped_; }
   [[nodiscard]] std::uint64_t node_reboots() const { return node_reboots_; }
 
-  /// Sum of all outstanding fault-window depth counters (degradations,
-  /// CPU slowdowns, flaky NICs, partitions). Zero once every window has
-  /// healed — the sf::check quiesce invariant: a heal path that forgets
-  /// to undo its effect leaves a residue here.
+  /// Sum of all outstanding factor-window depth counters (degradations,
+  /// CPU slowdowns, flaky NICs). Zero once every window has healed — the
+  /// sf::check quiesce invariant: a heal path that forgets to undo its
+  /// effect leaves a residue here. Open cuts are the network's to count
+  /// (FlowNetwork::blocked_pair_count and blocked_oneway_count).
   [[nodiscard]] std::uint64_t residual_depth() const;
 
  private:
@@ -292,8 +293,6 @@ class FaultInjector {
   bool fire(const FaultEvent& ev);
   bool crash_node(const FaultEvent& ev);
   bool kill_pod(const FaultEvent& ev);
-  [[nodiscard]] std::size_t pair_index(std::uint32_t a,
-                                       std::uint32_t b) const;
 
   core::PaperTestbed& tb_;
   FaultConfig cfg_;
@@ -302,16 +301,13 @@ class FaultInjector {
   std::vector<FaultEvent> plan_;
   bool armed_ = false;
 
-  /// Overlap depth per faulted node / pair, flat-indexed by node id and
-  /// (min, max) pair id: the FIRST overlapping window's setting applies,
-  /// and the effect is undone only when the LAST window expires, so
-  /// back-to-back faults never un-fault each other early. Vectors, not
-  /// maps — sized once from the node count, O(1) on every expiry.
+  /// Overlap depth per faulted node, indexed by node id: the FIRST
+  /// overlapping window's factor applies, and the effect is undone only
+  /// when the LAST window expires, so back-to-back faults never un-fault
+  /// each other early.
   std::vector<int> degrade_depth_;
   std::vector<int> cpu_slow_depth_;
   std::vector<int> flaky_depth_;
-  std::vector<int> partition_depth_;  ///< n*n, indexed min*n+max
-  std::vector<int> oneway_depth_;     ///< n*n DIRECTED, indexed src*n+dst
 
   std::array<std::uint64_t, kFaultKinds> applied_{};
   std::uint64_t node_reboots_ = 0;

@@ -112,23 +112,20 @@ std::vector<std::string> KubeCluster::worker_names() const {
 
 void KubeCluster::exec_in_pod(const std::string& pod_name, double work,
                               std::function<void(bool)> on_done) {
+  // The pod, its worker and its container are looked up on every call: a
+  // pod that was unbound, finalized or whose container is gone fails.
   const Pod* pod = api_.get_pod(pod_name);
-  if (pod == nullptr || pod->node_name.empty()) {
-    cluster_.sim().call_in(0, [cb = std::move(on_done)] { cb(false); });
-    return;
-  }
-  auto it = workers_.find(pod->node_name);
-  if (it == workers_.end()) {
-    cluster_.sim().call_in(0, [cb = std::move(on_done)] { cb(false); });
-    return;
-  }
-  WorkerNode& w = it->second;
-  const container::ContainerId cid = w.kubelet->container_for(pod_name);
+  auto it = pod == nullptr || pod->node_name.empty()
+                ? workers_.end()
+                : workers_.find(pod->node_name);
+  const container::ContainerId cid =
+      it == workers_.end() ? container::kNoContainer
+                           : it->second.kubelet->container_for(pod_name);
   if (cid == container::kNoContainer) {
     cluster_.sim().call_in(0, [cb = std::move(on_done)] { cb(false); });
     return;
   }
-  w.runtime->exec(cid, work, std::move(on_done));
+  it->second.runtime->exec(cid, work, std::move(on_done));
 }
 
 void KubeCluster::seed_image_everywhere(const container::Image& image) {

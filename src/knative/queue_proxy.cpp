@@ -20,10 +20,7 @@ QueueProxy::~QueueProxy() {
   // Outstanding deadline events capture `this`; cancel them so an abrupt
   // teardown (pod deleted with work still queued) cannot fire into a
   // destroyed proxy.
-  for (auto& p : queue_) {
-    if (p.timeout_event != sim::kNoEvent) sim_.cancel(p.timeout_event);
-  }
-  for (auto& p : inflight_) {
+  for (const Pending& p : slots_) {
     if (p.timeout_event != sim::kNoEvent) sim_.cancel(p.timeout_event);
   }
 }
@@ -46,45 +43,45 @@ void QueueProxy::on_request(const net::HttpRequest& req,
     respond(std::move(resp));
     return;
   }
-  Pending p{req, std::move(respond), ++next_token_, sim::kNoEvent,
-            sim_.now()};
+  std::uint32_t slot;
+  if (!free_.empty()) {
+    slot = free_.back();
+    free_.pop_back();
+  } else {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  }
+  Pending& p = slots_[slot];
+  p = Pending{req, std::move(respond), ++next_token_, sim::kNoEvent,
+              sim_.now()};
   if (request_timeout_s_ > 0) {
     p.timeout_event = sim_.call_in(
         request_timeout_s_,
-        [this, token = p.token] { on_timeout(token); });
+        [this, slot, token = p.token] { on_timeout(slot, token); });
   }
-  queue_.push_back(std::move(p));
-  peak_queued_ = std::max(peak_queued_, queue_.size());
+  queue_.push_back(slot);
+  peak_queued_ = std::max(peak_queued_, ++queued_);
   maybe_dispatch();
 }
 
-void QueueProxy::on_timeout(std::uint64_t token) {
+void QueueProxy::on_timeout(std::uint32_t slot, std::uint64_t token) {
+  Pending& p = slots_[slot];
+  if (p.token != token || !p.respond) return;
+  ++timeouts_;
+  record_outcome(p, /*timed_out=*/true);
+  auto respond = std::move(p.respond);
+  p.respond = nullptr;
+  p.timeout_event = sim::kNoEvent;
+  // Still queued: it never reaches the container. Executing: the
+  // handler's eventual response is dropped (finish_slot sees the consumed
+  // responder) but still frees the slot.
+  const bool was_queued = !p.executing;
+  if (was_queued) --queued_;
   net::HttpResponse resp;
   resp.status = net::kStatusGatewayTimeout;
   resp.headers[net::kReasonHeader] = "timeout";
-  // Still queued: drop it — it never reached the container.
-  for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-    if (it->token != token) continue;
-    ++timeouts_;
-    record_outcome(*it, /*timed_out=*/true);
-    auto respond = std::move(it->respond);
-    queue_.erase(it);
-    respond(std::move(resp));
-    check_drain_done();
-    return;
-  }
-  // Executing: answer 504 now; the handler's eventual response is dropped
-  // (finish_slot sees the consumed responder) but still frees the slot.
-  for (auto& p : inflight_) {
-    if (p.token != token || !p.respond) continue;
-    ++timeouts_;
-    record_outcome(p, /*timed_out=*/true);
-    auto respond = std::move(p.respond);
-    p.respond = nullptr;
-    p.timeout_event = sim::kNoEvent;
-    respond(std::move(resp));
-    return;
-  }
+  respond(std::move(resp));
+  if (was_queued) check_drain_done();
 }
 
 void QueueProxy::record_outcome(const Pending& p, bool timed_out,
@@ -98,42 +95,37 @@ void QueueProxy::record_outcome(const Pending& p, bool timed_out,
   }
 }
 
+void QueueProxy::release(std::uint32_t slot) {
+  slots_[slot] = Pending{};
+  free_.push_back(slot);
+}
+
 void QueueProxy::maybe_dispatch() {
   while (!queue_.empty() && (container_concurrency_ <= 0 ||
                              executing_ < container_concurrency_)) {
-    // Move the request into an inflight slot (flat table, slots reused via
-    // free list) — it outlives handlers that respond after further
-    // simulated events. The responder wrapper captures only {this, slot},
-    // which fits std::function's inline buffer: no allocation per request,
-    // where the former shared_ptr<Pending> paid one.
-    // inflight_ is a deque: reentrant dispatch (synchronous handlers) may
-    // grow it while an outer frame still holds a reference into a slot.
-    std::uint32_t slot;
-    if (!inflight_free_.empty()) {
-      slot = inflight_free_.back();
-      inflight_free_.pop_back();
-      inflight_[slot] = std::move(queue_.front());
-    } else {
-      slot = static_cast<std::uint32_t>(inflight_.size());
-      inflight_.push_back(std::move(queue_.front()));
-    }
+    const std::uint32_t slot = queue_.front();
     queue_.pop_front();
+    Pending& p = slots_[slot];
+    if (!p.respond) {  // its deadline answered it while queued
+      release(slot);
+      continue;
+    }
+    p.executing = true;
+    --queued_;
     ++executing_;
     // The handler responds through a wrapper that updates bookkeeping
     // before the response leaves the pod.
-    handler_(inflight_[slot].req, context_,
-             [this, slot](net::HttpResponse resp) {
-               finish_slot(slot, std::move(resp));
-             });
+    handler_(p.req, context_, [this, slot](net::HttpResponse resp) {
+      finish_slot(slot, std::move(resp));
+    });
   }
 }
 
 void QueueProxy::finish_slot(std::uint32_t slot, net::HttpResponse resp) {
   // Move the request out before responding: the responder may re-enter
   // maybe_dispatch (synchronous handlers), which can reuse the slot.
-  Pending done = std::move(inflight_[slot]);
-  inflight_[slot] = Pending{};
-  inflight_free_.push_back(slot);
+  Pending done = std::move(slots_[slot]);
+  release(slot);
   if (done.timeout_event != sim::kNoEvent) sim_.cancel(done.timeout_event);
   // An empty responder means the deadline already answered 504 for this
   // request; the handler's late response is discarded (and was already
@@ -142,10 +134,6 @@ void QueueProxy::finish_slot(std::uint32_t slot, net::HttpResponse resp) {
     record_outcome(done, /*timed_out=*/false, resp.status);
     done.respond(std::move(resp));
   }
-  finished_one();
-}
-
-void QueueProxy::finished_one() {
   --executing_;
   ++served_;
   maybe_dispatch();
@@ -153,7 +141,7 @@ void QueueProxy::finished_one() {
 }
 
 void QueueProxy::check_drain_done() {
-  if (draining_ && executing_ == 0 && queue_.empty() && drain_done_) {
+  if (draining_ && executing_ == 0 && queued_ == 0 && drain_done_) {
     auto done = std::move(drain_done_);
     drain_done_ = nullptr;
     done();
@@ -166,7 +154,7 @@ void QueueProxy::drain(std::function<void()> done) {
     http_.close(context_.node, port_);
     installed_ = false;
   }
-  if (executing_ == 0 && queue_.empty()) {
+  if (executing_ == 0 && queued_ == 0) {
     sim_.call_in(0, std::move(done));
     return;
   }

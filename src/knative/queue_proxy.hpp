@@ -68,10 +68,11 @@ class QueueProxy {
 
   /// Observed concurrency: executing plus queued (what KPA scrapes).
   [[nodiscard]] double concurrency() const {
-    return static_cast<double>(executing_ + queue_.size());
+    return static_cast<double>(static_cast<std::size_t>(executing_) +
+                               queued_);
   }
   [[nodiscard]] int executing() const { return executing_; }
-  [[nodiscard]] std::size_t queued() const { return queue_.size(); }
+  [[nodiscard]] std::size_t queued() const { return queued_; }
   [[nodiscard]] std::uint64_t served() const { return served_; }
   [[nodiscard]] std::uint64_t timeouts() const { return timeouts_; }
   [[nodiscard]] std::size_t peak_queued() const { return peak_queued_; }
@@ -90,8 +91,7 @@ class QueueProxy {
   void on_request(const net::HttpRequest& req, net::Responder respond);
   void maybe_dispatch();
   void finish_slot(std::uint32_t slot, net::HttpResponse resp);
-  void finished_one();
-  void on_timeout(std::uint64_t token);
+  void on_timeout(std::uint32_t slot, std::uint64_t token);
   void check_drain_done();
 
   sim::Simulation& sim_;
@@ -104,20 +104,30 @@ class QueueProxy {
   bool draining_ = false;
   std::function<void()> drain_done_;
 
+  /// One accepted request, in its slot from accept to response. An empty
+  /// responder means the deadline has answered it.
   struct Pending {
     net::HttpRequest req;
     net::Responder respond;
-    std::uint64_t token = 0;  ///< request identity across queue → inflight
+    std::uint64_t token = 0;  ///< tells the slot's successive requests apart
     sim::EventId timeout_event = sim::kNoEvent;
     double accepted_at = 0;  ///< for the latency histogram
+    bool executing = false;
   };
   void record_outcome(const Pending& p, bool timed_out, int status = 200);
-  std::deque<Pending> queue_;
-  /// Executing requests, slot-indexed (free list below). The responder
-  /// wrapper captures {this, slot} — small enough for std::function's
-  /// inline buffer, so dispatch allocates nothing per request.
-  std::deque<Pending> inflight_;
-  std::vector<std::uint32_t> inflight_free_;
+  /// Frees `slot` for the next accepted request.
+  void release(std::uint32_t slot);
+  /// Accepted requests, slot-indexed, slots reused through `free_`. A
+  /// deque: handlers hold `req` by reference while reentrant dispatch may
+  /// add slots. The responder wrapper and the deadline capture the slot
+  /// index, small enough for the callbacks' inline buffers, so a request
+  /// allocates nothing beyond its own copy.
+  std::deque<Pending> slots_;
+  std::vector<std::uint32_t> free_;
+  /// Slots of the queued requests in arrival order. A request whose
+  /// deadline answered it while queued stays here until dispatch skips it.
+  std::deque<std::uint32_t> queue_;
+  std::size_t queued_ = 0;
   int executing_ = 0;
   std::uint64_t served_ = 0;
   double request_timeout_s_ = 0;

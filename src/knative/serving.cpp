@@ -48,21 +48,34 @@ KnativeServing::KnativeServing(k8s::KubeCluster& kube, cluster::Node& gateway)
   // the pending revision does.
   kube_.api().watch_endpoints(
       [this](k8s::EventType, const k8s::Endpoints& eps) {
-        auto svc_it = revision_to_service_.find(eps.service_name);
-        if (svc_it == revision_to_service_.end() || eps.ready.empty()) {
-          return;
+        if (eps.ready.empty()) return;
+        Revision* rev = find_revision(eps.service_name);
+        if (rev == nullptr) return;
+        if (eps.service_name == rev->pending_rev &&
+            rev->canary_fraction < 0) {
+          finalize_rollout(*rev);  // automatic blue/green switch
         }
-        auto it = revisions_.find(svc_it->second);
-        if (it == revisions_.end()) return;
-        Revision& rev = it->second;
-        if (eps.service_name == rev.pending_rev &&
-            rev.canary_fraction < 0) {
-          finalize_rollout(rev);  // automatic blue/green switch
-        }
-        if (eps.service_name == rev.rev_name) {
-          flush_activator(rev);
+        if (eps.service_name == rev->rev_name) {
+          flush_activator(*rev);
         }
       });
+}
+
+KnativeServing::Revision* KnativeServing::find_service(
+    const std::string& service) {
+  auto it = revisions_.find(service);
+  return it == revisions_.end() ? nullptr : &it->second;
+}
+
+const KnativeServing::Revision* KnativeServing::find_service(
+    const std::string& service) const {
+  return const_cast<KnativeServing*>(this)->find_service(service);
+}
+
+KnativeServing::Revision* KnativeServing::find_revision(
+    const std::string& rev_name) {
+  auto it = revision_to_service_.find(rev_name);
+  return it == revision_to_service_.end() ? nullptr : find_service(it->second);
 }
 
 namespace {
@@ -136,7 +149,7 @@ void KnativeServing::create_service(KnServiceSpec spec) {
   auto [it, _] = revisions_.emplace(spec.name, std::move(rev));
   configure_resilience(it->second);
   deploy_revision(spec.name, rev_name, spec, initial);
-  ensure_ticking(spec.name);
+  ensure_ticking(it->second);
 }
 
 void KnativeServing::configure_resilience(Revision& rev) {
@@ -165,12 +178,12 @@ void KnativeServing::update_service_canary(KnServiceSpec spec,
 
 void KnativeServing::start_rollout(KnServiceSpec spec,
                                    double canary_fraction) {
-  auto it = revisions_.find(spec.name);
-  if (it == revisions_.end()) {
+  Revision* found = find_service(spec.name);
+  if (found == nullptr) {
     throw std::invalid_argument("KnativeServing: unknown service: " +
                                 spec.name);
   }
-  Revision& rev = it->second;
+  Revision& rev = *found;
   if (!rev.pending_rev.empty()) {
     throw std::logic_error("KnativeServing: rollout already in flight for " +
                            spec.name);
@@ -214,19 +227,19 @@ void KnativeServing::finalize_rollout(Revision& rev) {
   kube_.api().delete_deployment(deployment_name(old_rev));
   kube_.api().delete_service(old_rev);
   flush_activator(rev);
-  ensure_ticking(rev.spec.name);
+  ensure_ticking(rev);
 }
 
 std::string KnativeServing::active_revision(
     const std::string& service) const {
-  auto it = revisions_.find(service);
-  return it == revisions_.end() ? std::string{} : it->second.rev_name;
+  const Revision* rev = find_service(service);
+  return rev == nullptr ? std::string{} : rev->rev_name;
 }
 
 void KnativeServing::delete_service(const std::string& name) {
-  auto it = revisions_.find(name);
-  if (it == revisions_.end()) return;
-  Revision& rev = it->second;
+  Revision* found = find_service(name);
+  if (found == nullptr) return;
+  Revision& rev = *found;
   for (auto& [req, respond] : rev.activator) {
     net::HttpResponse resp;
     resp.status = net::kStatusServiceUnavailable;
@@ -242,7 +255,7 @@ void KnativeServing::delete_service(const std::string& name) {
     revision_to_service_.erase(rev.pending_rev);
   }
   revision_to_service_.erase(rev.rev_name);
-  revisions_.erase(it);
+  revisions_.erase(name);
 }
 
 void KnativeServing::retire_proxies(Revision& rev) {
@@ -276,32 +289,32 @@ void KnativeServing::invoke(net::NodeId client, const std::string& service,
 void KnativeServing::route(const std::string& service,
                            const net::HttpRequest& req, net::Responder respond,
                            int attempt) {
-  auto it = revisions_.find(service);
-  if (it == revisions_.end()) {
+  Revision* found = find_service(service);
+  if (found == nullptr) {
     net::HttpResponse resp;
     resp.status = 404;
     respond(std::move(resp));
     return;
   }
-  Revision& rev = it->second;
+  Revision& rev = *found;
   if (attempt == 1) ++rev.requests;
   // Admission control sits in front of BOTH the endpoint path and the
   // activator buffer: under overload the router answers fast instead of
   // queueing unboundedly.
-  if (!admit(rev, service, req, respond, attempt)) return;
+  if (!admit(rev, req, respond, attempt)) return;
 
+  auto& sim = kube_.cluster().sim();
   const k8s::Endpoints* eps = kube_.api().get_endpoints(rev.rev_name);
   if (eps == nullptr || eps->ready.empty()) {
     // Activator path: buffer, count the cold start, poke the autoscaler.
     ++rev.cold_starts;
     rev.activator.emplace_back(req, std::move(respond));
-    kube_.cluster().sim().trace().record(
-        kube_.cluster().sim().now(), "knative", "activator_buffer",
-        {{"service", service}});
+    sim.trace().record(sim.now(), "knative", "activator_buffer",
+                       {{"service", service}});
     if (rev.current_desired == 0) {
       apply_scale(rev, rev.kpa.scale_from_zero_target());
     }
-    ensure_ticking(service);
+    ensure_ticking(rev);
     return;
   }
   // Canary split: a fraction of requests goes to the pending revision
@@ -310,20 +323,16 @@ void KnativeServing::route(const std::string& service,
     const k8s::Endpoints* canary_eps =
         kube_.api().get_endpoints(rev.pending_rev);
     if (canary_eps != nullptr && !canary_eps->ready.empty() &&
-        kube_.cluster().sim().rng().chance(rev.canary_fraction)) {
-      const k8s::Endpoint& ep = pick_endpoint(rev, *canary_eps);
-      ensure_ticking(service);
-      forward(service, ep, req, std::move(respond), attempt);
-      return;
+        sim.rng().chance(rev.canary_fraction)) {
+      eps = canary_eps;
     }
   }
   const k8s::Endpoint& ep = pick_endpoint(rev, *eps);
-  ensure_ticking(service);
-  forward(service, ep, req, std::move(respond), attempt);
+  ensure_ticking(rev);
+  forward(rev, ep, req, std::move(respond), attempt);
 }
 
-bool KnativeServing::admit(Revision& rev, const std::string& service,
-                           const net::HttpRequest& req,
+bool KnativeServing::admit(Revision& rev, const net::HttpRequest& req,
                            net::Responder& respond, int attempt) {
   if (!rev.admission.enabled()) return true;
   auto& sim = kube_.cluster().sim();
@@ -334,13 +343,8 @@ bool KnativeServing::admit(Revision& rev, const std::string& service,
     // Retry after a jittered exponential backoff — the jitter draws from
     // the simulation RNG, so it spreads retries without breaking
     // seed-purity (and is drawn only when admission is enabled).
-    ++rev.retries;
-    ++rev.retries_by_revision[rev.rev_name];
-    const double backoff = kAdmitRetry.backoff_jittered(attempt, sim.rng());
-    sim.call_in(backoff, [this, service, req, respond = std::move(respond),
-                          attempt]() mutable {
-      route(service, req, std::move(respond), attempt + 1);
-    });
+    retry(rev, req, std::move(respond), attempt,
+          kAdmitRetry.backoff_jittered(attempt, sim.rng()));
     return false;
   }
   net::HttpResponse resp;
@@ -350,22 +354,34 @@ bool KnativeServing::admit(Revision& rev, const std::string& service,
   return false;
 }
 
+void KnativeServing::retry(Revision& rev, net::HttpRequest req,
+                           net::Responder respond, int attempt,
+                           double delay_s) {
+  ++rev.retries;
+  ++rev.retries_by_revision[rev.rev_name];
+  kube_.cluster().sim().call_in(
+      delay_s, [this, service = rev.spec.name, req = std::move(req),
+                respond = std::move(respond), attempt]() mutable {
+        route(service, req, std::move(respond), attempt + 1);
+      });
+}
+
 void KnativeServing::promote_canary(const std::string& service) {
-  auto it = revisions_.find(service);
-  if (it == revisions_.end() || it->second.pending_rev.empty()) {
+  Revision* rev = find_service(service);
+  if (rev == nullptr || rev->pending_rev.empty()) {
     throw std::logic_error("KnativeServing: no canary to promote for " +
                            service);
   }
-  finalize_rollout(it->second);
+  finalize_rollout(*rev);
 }
 
 void KnativeServing::rollback_canary(const std::string& service) {
-  auto it = revisions_.find(service);
-  if (it == revisions_.end() || it->second.pending_rev.empty()) {
+  Revision* found = find_service(service);
+  if (found == nullptr || found->pending_rev.empty()) {
     throw std::logic_error("KnativeServing: no canary to roll back for " +
                            service);
   }
-  Revision& rev = it->second;
+  Revision& rev = *found;
   kube_.cluster().sim().trace().record(
       kube_.cluster().sim().now(), "knative", "rollout_rollback",
       {{"service", service}, {"revision", rev.pending_rev}});
@@ -378,9 +394,9 @@ void KnativeServing::rollback_canary(const std::string& service) {
 }
 
 double KnativeServing::canary_fraction(const std::string& service) const {
-  auto it = revisions_.find(service);
-  if (it == revisions_.end() || it->second.pending_rev.empty()) return 0;
-  return std::max(0.0, it->second.canary_fraction);
+  const Revision* rev = find_service(service);
+  if (rev == nullptr || rev->pending_rev.empty()) return 0;
+  return std::max(0.0, rev->canary_fraction);
 }
 
 const k8s::Endpoint& KnativeServing::pick_endpoint(Revision& rev,
@@ -406,113 +422,83 @@ const k8s::Endpoint& KnativeServing::pick_endpoint(Revision& rev,
     if (best != nullptr) return *best;
     // Every backend ejected: fall through to panic routing below.
   }
+  // Round-robin from the cursor, skipping ejected backends. Without a
+  // detector the first candidate is always taken.
   const std::size_t n = eps.ready.size();
-  if (det != nullptr) {
-    // Round-robin over non-ejected backends: scan from the cursor,
-    // skipping ejected hosts, allocation-free. With no detector the k=0
-    // candidate is always taken — identical to the plain cursor pick.
-    for (std::size_t k = 0; k < n; ++k) {
-      const k8s::Endpoint& ep = eps.ready[(rev.rr_cursor + k) % n];
-      if (det->ejected(ep.pod_name, now)) continue;
-      rev.rr_cursor += k + 1;
-      return ep;
-    }
-    // Panic routing (Envoy's panic threshold, pinned at 100%): every
-    // backend is ejected, so serving *something* beats failing fast —
-    // route as if no detector existed rather than blackholing.
-    det->note_panic_pick();
-    rev.last_pick_panic = true;
+  for (std::size_t k = 0; k < n; ++k) {
+    const k8s::Endpoint& ep = eps.ready[(rev.rr_cursor + k) % n];
+    if (det != nullptr && det->ejected(ep.pod_name, now)) continue;
+    rev.rr_cursor += k + 1;
+    return ep;
   }
+  // Panic routing (Envoy's panic threshold, pinned at 100%): every
+  // backend is ejected, so serving *something* beats failing fast —
+  // route as if no detector existed rather than blackholing.
+  det->note_panic_pick();
+  rev.last_pick_panic = true;
   const k8s::Endpoint& ep = eps.ready[rev.rr_cursor % n];
   ++rev.rr_cursor;
   return ep;
 }
 
-void KnativeServing::forward(const std::string& service,
-                             const k8s::Endpoint& ep,
+void KnativeServing::forward(Revision& rev, const k8s::Endpoint& ep,
                              const net::HttpRequest& req,
                              net::Responder respond, int attempt) {
-  double route_timeout = 0;
-  const double t0 = kube_.cluster().sim().now();
-  if (auto it = revisions_.find(service); it != revisions_.end()) {
-    Revision& rev = it->second;
-    route_timeout = rev.spec.annotations.route_timeout_s;
-    // Tripwire behind the "ejected backends receive no traffic"
-    // invariant: a non-panic pick must never land on an ejected host.
-    if (rev.detector != nullptr && !rev.last_pick_panic &&
-        rev.detector->ejected(ep.pod_name, t0)) {
-      ++outlier_misrouted_;
-    }
+  auto& sim = kube_.cluster().sim();
+  const double t0 = sim.now();
+  // Tripwire behind the "ejected backends receive no traffic" invariant:
+  // a non-panic pick must never land on an ejected host.
+  if (rev.detector != nullptr && !rev.last_pick_panic &&
+      rev.detector->ejected(ep.pod_name, t0)) {
+    ++outlier_misrouted_;
   }
-  // Second network hop: gateway → pod (the payload is paid again, which is
-  // exactly the ingress-proxy cost a real Knative data path has).
-  if (route_timeout <= 0) {
-    kube_.cluster().http().request(
-        gateway_.net_id(), ep.net_id, ep.port, req,
-        [this, service, pod = ep.pod_name, t0, req,
-         respond = std::move(respond), attempt](net::HttpResponse resp) mutable {
-          on_attempt_response(service, pod, t0, attempt, req,
-                              std::move(respond), std::move(resp));
-        });
-    return;
-  }
+  const AttemptId id = attempts_.insert(
+      Attempt{rev.spec.name, ep.pod_name, t0, attempt, req,
+              std::move(respond)});
   // Router-side per-attempt deadline (Envoy's upstream request timeout).
   // The queue-proxy deadline stops covering a request once the handler
   // responds — if the *reply* never arrives (one-way partition, NIC
   // stall) only this timer notices: it answers 504 "unresponsive", feeds
-  // the outlier detector, and retries another backend; whichever of
-  // {timer, response} fires second finds the responder consumed.
-  struct AttemptState {
-    net::Responder respond;
-    sim::EventId timer = sim::kNoEvent;
-  };
-  auto state = std::make_shared<AttemptState>();
-  state->respond = std::move(respond);
-  state->timer = kube_.cluster().sim().call_in(
-      route_timeout,
-      [this, service, pod = ep.pod_name, t0, req, attempt, state] {
-        if (!state->respond) return;
-        auto answer = std::move(state->respond);
-        state->respond = nullptr;
-        net::HttpResponse resp;
-        resp.status = net::kStatusGatewayTimeout;
-        resp.headers[net::kReasonHeader] = "unresponsive";
-        on_attempt_response(service, pod, t0, attempt, req,
-                            std::move(answer), std::move(resp));
-      });
+  // the outlier detector, and retries another backend. The late reply
+  // then finds its attempt gone and is discarded.
+  if (const double timeout = rev.spec.annotations.route_timeout_s;
+      timeout > 0) {
+    attempts_[id].deadline = sim.call_in(timeout, [this, id] {
+      attempts_[id].deadline = sim::kNoEvent;  // firing: nothing to cancel
+      net::HttpResponse resp;
+      resp.status = net::kStatusGatewayTimeout;
+      resp.headers[net::kReasonHeader] = "unresponsive";
+      on_attempt_response(id, std::move(resp));
+    });
+  }
+  // Second network hop: gateway → pod (the payload is paid again, which is
+  // exactly the ingress-proxy cost a real Knative data path has).
   kube_.cluster().http().request(
       gateway_.net_id(), ep.net_id, ep.port, req,
-      [this, service, pod = ep.pod_name, t0, req, attempt,
-       state](net::HttpResponse resp) {
-        if (!state->respond) return;  // deadline already answered; discard
-        kube_.cluster().sim().cancel(state->timer);
-        auto answer = std::move(state->respond);
-        state->respond = nullptr;
-        on_attempt_response(service, pod, t0, attempt, req,
-                            std::move(answer), std::move(resp));
+      [this, id](net::HttpResponse resp) {
+        on_attempt_response(id, std::move(resp));
       });
 }
 
-void KnativeServing::on_attempt_response(const std::string& service,
-                                         const std::string& pod,
-                                         double started_at, int attempt,
-                                         const net::HttpRequest& req,
-                                         net::Responder respond,
+void KnativeServing::on_attempt_response(AttemptId id,
                                          net::HttpResponse resp) {
-  auto it = revisions_.find(service);
-  if (it == revisions_.end()) {
-    respond(std::move(resp));
+  if (!attempts_.live(id)) return;  // the deadline answered it first
+  Attempt a = attempts_.take(id);
+  auto& sim = kube_.cluster().sim();
+  if (a.deadline != sim::kNoEvent) sim.cancel(a.deadline);
+  Revision* found = find_service(a.service);
+  if (found == nullptr) {
+    a.respond(std::move(resp));
     return;
   }
-  Revision& rev = it->second;
-  const double now = kube_.cluster().sim().now();
+  Revision& rev = *found;
+  const double now = sim.now();
   if (rev.detector != nullptr) {
     const std::uint64_t before = rev.detector->total_ejections();
-    rev.detector->on_response(pod, resp.status, now - started_at, now);
+    rev.detector->on_response(a.pod, resp.status, now - a.started_at, now);
     if (rev.detector->total_ejections() != before) {
-      kube_.cluster().sim().trace().record(
-          now, "knative", "outlier_eject",
-          {{"service", service}, {"pod", pod}});
+      sim.trace().record(now, "knative", "outlier_eject",
+                         {{"service", a.service}, {"pod", a.pod}});
     }
   }
   if (resp.status >= 500) {
@@ -532,21 +518,15 @@ void KnativeServing::on_attempt_response(const std::string& service,
   const bool retryable = resp.status == net::kStatusConnectionRefused ||
                          resp.status == net::kStatusServiceUnavailable ||
                          resp.status == net::kStatusGatewayTimeout;
-  if (retryable && attempt < kMaxRouteAttempts) {
+  if (retryable && a.attempt < kMaxRouteAttempts) {
     // Endpoint vanished mid-flight (drain/scale-down), the queue-proxy
     // timed the request out, or the reply never arrived; retry — at zero
     // scale the route lands in the activator and waits for a cold start.
-    ++rev.retries;
-    ++rev.retries_by_revision[rev.rev_name];
-    kube_.cluster().sim().call_in(
-        kRouteRetry.backoff_s(attempt),
-        [this, service, req, respond = std::move(respond),
-         attempt]() mutable {
-          route(service, req, std::move(respond), attempt + 1);
-        });
+    retry(rev, std::move(a.req), std::move(a.respond), a.attempt,
+          kRouteRetry.backoff_s(a.attempt));
     return;
   }
-  respond(std::move(resp));
+  a.respond(std::move(resp));
 }
 
 void KnativeServing::flush_activator(Revision& rev) {
@@ -556,7 +536,7 @@ void KnativeServing::flush_activator(Revision& rev) {
     auto [req, respond] = std::move(rev.activator.front());
     rev.activator.pop_front();
     const k8s::Endpoint ep = pick_endpoint(rev, *eps);
-    forward(rev.spec.name, ep, req, std::move(respond), /*attempt=*/1);
+    forward(rev, ep, req, std::move(respond), /*attempt=*/1);
   }
 }
 
@@ -579,24 +559,23 @@ void KnativeServing::apply_scale(Revision& rev, int desired) {
   kube_.api().set_deployment_replicas(deployment_name(rev.rev_name), desired);
 }
 
-void KnativeServing::ensure_ticking(const std::string& service) {
-  auto it = revisions_.find(service);
-  if (it == revisions_.end() || it->second.ticking) return;
-  it->second.ticking = true;
-  kube_.cluster().sim().call_in(kAutoscalerTick,
-                                [this, service] { tick(service); });
+void KnativeServing::ensure_ticking(Revision& rev) {
+  if (rev.ticking) return;
+  rev.ticking = true;
+  kube_.cluster().sim().call_in(
+      kAutoscalerTick, [this, service = rev.spec.name] { tick(service); });
 }
 
 void KnativeServing::tick(const std::string& service) {
-  auto it = revisions_.find(service);
-  if (it == revisions_.end()) return;
-  Revision& rev = it->second;
+  Revision* found = find_service(service);
+  if (found == nullptr) return;
+  Revision& rev = *found;
   rev.ticking = false;
   const double conc = scrape(rev);
   const auto decision = rev.kpa.observe(kube_.cluster().sim().now(), conc,
                                         rev.current_desired);
   apply_scale(rev, decision.desired);
-  if (decision.work_pending) ensure_ticking(service);
+  if (decision.work_pending) ensure_ticking(rev);
 }
 
 // ---- Pod lifecycle -------------------------------------------------------
@@ -604,11 +583,9 @@ void KnativeServing::tick(const std::string& service) {
 void KnativeServing::on_pod_event(k8s::EventType type, const k8s::Pod& pod) {
   auto lbl = pod.labels.find(kRevisionLabel);
   if (lbl == pod.labels.end()) return;
-  auto svc_it = revision_to_service_.find(lbl->second);
-  if (svc_it == revision_to_service_.end()) return;
-  auto rev_it = revisions_.find(svc_it->second);
-  if (rev_it == revisions_.end()) return;
-  Revision& rev = rev_it->second;
+  Revision* found = find_revision(lbl->second);
+  if (found == nullptr) return;
+  Revision& rev = *found;
 
   switch (type) {
     case k8s::EventType::kAdded:
@@ -673,13 +650,12 @@ void KnativeServing::attach_proxy(Revision& rev, const k8s::Pod& pod) {
   kube_.api().mutate_pod(pod.name, [this, service,
                                     pod_name = pod.name](k8s::Pod& p) {
     p.pre_stop = [this, service, pod_name](std::function<void()> done) {
-      auto it = revisions_.find(service);
-      if (it == revisions_.end() ||
-          !it->second.proxies.contains(pod_name)) {
+      Revision* owner = find_service(service);
+      if (owner == nullptr || !owner->proxies.contains(pod_name)) {
         done();
         return;
       }
-      it->second.proxies.at(pod_name)->drain(std::move(done));
+      owner->proxies.at(pod_name)->drain(std::move(done));
     };
   });
 }
@@ -687,27 +663,27 @@ void KnativeServing::attach_proxy(Revision& rev, const k8s::Pod& pod) {
 // ---- Introspection -------------------------------------------------------
 
 int KnativeServing::ready_replicas(const std::string& service) const {
-  auto it = revisions_.find(service);
-  if (it == revisions_.end()) return 0;
-  const k8s::Endpoints* eps = kube_.api().get_endpoints(it->second.rev_name);
+  const Revision* rev = find_service(service);
+  if (rev == nullptr) return 0;
+  const k8s::Endpoints* eps = kube_.api().get_endpoints(rev->rev_name);
   return eps == nullptr ? 0 : static_cast<int>(eps->ready.size());
 }
 
 int KnativeServing::desired_replicas(const std::string& service) const {
-  auto it = revisions_.find(service);
-  return it == revisions_.end() ? 0 : it->second.current_desired;
+  const Revision* rev = find_service(service);
+  return rev == nullptr ? 0 : rev->current_desired;
 }
 
 std::uint64_t KnativeServing::cold_start_requests(
     const std::string& service) const {
-  auto it = revisions_.find(service);
-  return it == revisions_.end() ? 0 : it->second.cold_starts;
+  const Revision* rev = find_service(service);
+  return rev == nullptr ? 0 : rev->cold_starts;
 }
 
 std::uint64_t KnativeServing::requests_routed(
     const std::string& service) const {
-  auto it = revisions_.find(service);
-  return it == revisions_.end() ? 0 : it->second.requests;
+  const Revision* rev = find_service(service);
+  return rev == nullptr ? 0 : rev->requests;
 }
 
 std::vector<std::string> KnativeServing::service_names() const {
@@ -719,72 +695,71 @@ std::vector<std::string> KnativeServing::service_names() const {
 
 const Annotations* KnativeServing::service_annotations(
     const std::string& service) const {
-  auto it = revisions_.find(service);
-  return it == revisions_.end() ? nullptr : &it->second.spec.annotations;
+  const Revision* rev = find_service(service);
+  return rev == nullptr ? nullptr : &rev->spec.annotations;
 }
 
 std::uint64_t KnativeServing::route_retries(
     const std::string& service) const {
-  auto it = revisions_.find(service);
-  return it == revisions_.end() ? 0 : it->second.retries;
+  const Revision* rev = find_service(service);
+  return rev == nullptr ? 0 : rev->retries;
 }
 
 std::uint64_t KnativeServing::route_retries_for_revision(
     const std::string& service, const std::string& revision) const {
-  auto it = revisions_.find(service);
-  if (it == revisions_.end()) return 0;
-  auto r = it->second.retries_by_revision.find(revision);
-  return r == it->second.retries_by_revision.end() ? 0 : r->second;
+  const Revision* rev = find_service(service);
+  if (rev == nullptr) return 0;
+  auto r = rev->retries_by_revision.find(revision);
+  return r == rev->retries_by_revision.end() ? 0 : r->second;
 }
 
 KnativeServing::RouteFailureBreakdown KnativeServing::route_failures(
     const std::string& service) const {
-  auto it = revisions_.find(service);
-  return it == revisions_.end() ? RouteFailureBreakdown{}
-                                : it->second.failures;
+  const Revision* rev = find_service(service);
+  return rev == nullptr ? RouteFailureBreakdown{} : rev->failures;
 }
 
 std::uint64_t KnativeServing::ejections(const std::string& service) const {
-  auto it = revisions_.find(service);
-  return it == revisions_.end() || it->second.detector == nullptr
+  const Revision* rev = find_service(service);
+  return rev == nullptr || rev->detector == nullptr
              ? 0
-             : it->second.detector->total_ejections();
+             : rev->detector->total_ejections();
 }
 
 std::uint64_t KnativeServing::readmissions(const std::string& service) const {
-  auto it = revisions_.find(service);
-  return it == revisions_.end() || it->second.detector == nullptr
+  const Revision* rev = find_service(service);
+  return rev == nullptr || rev->detector == nullptr
              ? 0
-             : it->second.detector->total_readmissions();
+             : rev->detector->total_readmissions();
 }
 
 std::vector<std::string> KnativeServing::ejected_backends(
     const std::string& service) {
-  auto it = revisions_.find(service);
-  if (it == revisions_.end() || it->second.detector == nullptr) return {};
-  return it->second.detector->ejected_backends();
+  const Revision* rev = find_service(service);
+  if (rev == nullptr || rev->detector == nullptr) return {};
+  return rev->detector->ejected_backends();
 }
 
 double KnativeServing::backend_latency_p(const std::string& service,
                                          const std::string& pod, double p) {
-  auto it = revisions_.find(service);
-  if (it == revisions_.end() || it->second.detector == nullptr) return 0;
-  return it->second.detector->backend_latency_p(
-      pod, p, kube_.cluster().sim().now());
+  const Revision* rev = find_service(service);
+  if (rev == nullptr || rev->detector == nullptr) return 0;
+  return rev->detector->backend_latency_p(pod, p,
+                                          kube_.cluster().sim().now());
 }
 
 std::uint64_t KnativeServing::admission_rejections(
     const std::string& service) const {
-  auto it = revisions_.find(service);
-  return it == revisions_.end() ? 0 : it->second.admission_rejections;
+  const Revision* rev = find_service(service);
+  return rev == nullptr ? 0 : rev->admission_rejections;
 }
 
 std::size_t KnativeServing::peak_backend_queue(
     const std::string& service) const {
-  auto it = revisions_.find(service);
-  if (it == revisions_.end()) return 0;
+  const Revision* rev = find_service(service);
+  if (rev == nullptr) return 0;
   std::size_t peak = 0;
-  for (const auto& [pod, proxy] : it->second.proxies) {
+  for (const auto& [pod, proxy] : rev->proxies) {
     peak = std::max(peak, proxy->peak_queued());
   }
   return peak;
@@ -792,20 +767,20 @@ std::size_t KnativeServing::peak_backend_queue(
 
 KnativeServing::OutlierSnapshot KnativeServing::outlier_snapshot(
     const std::string& service) const {
-  auto it = revisions_.find(service);
-  if (it == revisions_.end() || it->second.detector == nullptr) return {};
-  const OutlierDetector& det = *it->second.detector;
+  const Revision* rev = find_service(service);
+  if (rev == nullptr || rev->detector == nullptr) return {};
+  const OutlierDetector& det = *rev->detector;
   return {/*enabled=*/true, det.host_count(), det.ejected_count(),
           det.ejection_allowance()};
 }
 
 const k8s::Endpoint* KnativeServing::pick_backend_for_bench(
     const std::string& service) {
-  auto it = revisions_.find(service);
-  if (it == revisions_.end()) return nullptr;
-  const k8s::Endpoints* eps = kube_.api().get_endpoints(it->second.rev_name);
+  Revision* rev = find_service(service);
+  if (rev == nullptr) return nullptr;
+  const k8s::Endpoints* eps = kube_.api().get_endpoints(rev->rev_name);
   if (eps == nullptr || eps->ready.empty()) return nullptr;
-  return &pick_endpoint(it->second, *eps);
+  return &pick_endpoint(*rev, *eps);
 }
 
 }  // namespace sf::knative

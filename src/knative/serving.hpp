@@ -13,6 +13,7 @@
 #include "knative/outlier.hpp"
 #include "knative/queue_proxy.hpp"
 #include "metrics/stream_stats.hpp"
+#include "sim/slot_table.hpp"
 
 namespace sf::knative {
 
@@ -255,24 +256,41 @@ class KnativeServing {
     bool last_pick_panic = false;
   };
 
+  /// One routed attempt in flight, from forward() until its response or
+  /// its deadline settles it; whichever comes second finds the id gone.
+  struct Attempt {
+    std::string service;
+    std::string pod;
+    double started_at = 0;
+    int attempt = 0;
+    net::HttpRequest req;
+    net::Responder respond;
+    sim::EventId deadline = sim::kNoEvent;  ///< router deadline, if set
+  };
+  using AttemptId = sim::SlotTable<Attempt>::Id;
+
+  [[nodiscard]] Revision* find_service(const std::string& service);
+  [[nodiscard]] const Revision* find_service(const std::string& service) const;
+  /// The service record that owns revision `rev_name` (active or pending).
+  [[nodiscard]] Revision* find_revision(const std::string& rev_name);
+
   void route(const std::string& service, const net::HttpRequest& req,
              net::Responder respond, int attempt);
   [[nodiscard]] const k8s::Endpoint& pick_endpoint(Revision& rev,
                                                    const k8s::Endpoints& eps);
-  void forward(const std::string& service, const k8s::Endpoint& ep,
+  void forward(Revision& rev, const k8s::Endpoint& ep,
                const net::HttpRequest& req, net::Responder respond,
                int attempt);
-  /// Shared tail of forward(): classify the attempt's outcome, feed the
+  /// Settles attempt `id` with `resp`: classify the outcome, feed the
   /// outlier detector, retry when retryable, else respond.
-  void on_attempt_response(const std::string& service,
-                           const std::string& pod, double started_at,
-                           int attempt, const net::HttpRequest& req,
-                           net::Responder respond, net::HttpResponse resp);
+  void on_attempt_response(AttemptId id, net::HttpResponse resp);
+  /// Counts a retry of `rev` and routes the request again `delay_s` later.
+  void retry(Revision& rev, net::HttpRequest req, net::Responder respond,
+             int attempt, double delay_s);
   /// Admission gate; true = proceed. On false the request was already
   /// answered (429) or scheduled for a jittered retry.
-  bool admit(Revision& rev, const std::string& service,
-             const net::HttpRequest& req, net::Responder& respond,
-             int attempt);
+  bool admit(Revision& rev, const net::HttpRequest& req,
+             net::Responder& respond, int attempt);
   void configure_resilience(Revision& rev);
   void flush_activator(Revision& rev);
   void finalize_rollout(Revision& rev);
@@ -283,7 +301,7 @@ class KnativeServing {
                        const std::string& rev_name,
                        const KnServiceSpec& spec, int replicas);
   void apply_scale(Revision& rev, int desired);
-  void ensure_ticking(const std::string& service);
+  void ensure_ticking(Revision& rev);
   void tick(const std::string& service);
   [[nodiscard]] double scrape(const Revision& rev) const;
   void on_pod_event(k8s::EventType type, const k8s::Pod& pod);
@@ -305,6 +323,9 @@ class KnativeServing {
   /// through the simulation's interner. Populated only for services with
   /// outlier detection, admission, or a route timeout configured.
   stats::StatsStore stats_;
+  /// Routed attempts in flight; the response and the router deadline
+  /// refer to their attempt by id.
+  sim::SlotTable<Attempt> attempts_;
   std::uint64_t outlier_guarded_picks_ = 0;
   std::uint64_t outlier_misrouted_ = 0;
 };

@@ -47,18 +47,7 @@ void FlowNetwork::set_partition(NodeId a, NodeId b, bool blocked) {
   if (a >= nodes_.size() || b >= nodes_.size() || a == b) {
     throw std::invalid_argument("FlowNetwork::set_partition: bad node pair");
   }
-  const std::uint64_t key = pair_key(a, b);
-  const auto it =
-      std::lower_bound(blocked_pairs_.begin(), blocked_pairs_.end(), key);
-  const bool present = it != blocked_pairs_.end() && *it == key;
-  if (blocked == present) return;
-  advance();
-  if (blocked) {
-    blocked_pairs_.insert(it, key);
-  } else {
-    blocked_pairs_.erase(it);
-  }
-  rebalance();
+  cut(blocked_pairs_, pair_key(a, b), blocked);
 }
 
 void FlowNetwork::set_partition_oneway(NodeId src, NodeId dst, bool blocked) {
@@ -66,18 +55,31 @@ void FlowNetwork::set_partition_oneway(NodeId src, NodeId dst, bool blocked) {
     throw std::invalid_argument(
         "FlowNetwork::set_partition_oneway: bad node pair");
   }
-  const std::uint64_t key = directed_key(src, dst);
-  const auto it =
-      std::lower_bound(blocked_oneway_.begin(), blocked_oneway_.end(), key);
-  const bool present = it != blocked_oneway_.end() && *it == key;
-  if (blocked == present) return;
+  cut(blocked_oneway_, directed_key(src, dst), blocked);
+}
+
+void FlowNetwork::cut(Cuts& cuts, std::uint64_t key, bool open) {
+  const auto it = std::lower_bound(cuts.keys.begin(), cuts.keys.end(), key);
+  const auto count = cuts.open.begin() + (it - cuts.keys.begin());
+  const bool blocked = it != cuts.keys.end() && *it == key;
+  if (open && blocked) {
+    ++*count;
+    return;
+  }
+  if (!open && (!blocked || --*count > 0)) return;
   advance();
-  if (blocked) {
-    blocked_oneway_.insert(it, key);
+  if (open) {
+    cuts.keys.insert(it, key);
+    cuts.open.insert(count, 1);
   } else {
-    blocked_oneway_.erase(it);
+    cuts.keys.erase(it);
+    cuts.open.erase(count);
   }
   rebalance();
+}
+
+bool FlowNetwork::Cuts::contains(std::uint64_t key) const {
+  return !keys.empty() && std::binary_search(keys.begin(), keys.end(), key);
 }
 
 void FlowNetwork::set_node_flaky(NodeId node, std::uint32_t every_nth,
@@ -92,19 +94,12 @@ void FlowNetwork::set_node_flaky(NodeId node, std::uint32_t every_nth,
 }
 
 bool FlowNetwork::partitioned(NodeId a, NodeId b) const {
-  if (blocked_pairs_.empty() || a == b) return false;
-  return std::binary_search(blocked_pairs_.begin(), blocked_pairs_.end(),
-                            pair_key(a, b));
+  return a != b && blocked_pairs_.contains(pair_key(a, b));
 }
 
 bool FlowNetwork::oneway_blocked(NodeId src, NodeId dst) const {
-  if (src == dst) return false;
-  if (!blocked_oneway_.empty() &&
-      std::binary_search(blocked_oneway_.begin(), blocked_oneway_.end(),
-                         directed_key(src, dst))) {
-    return true;
-  }
-  return partitioned(src, dst);
+  return src != dst && (blocked_oneway_.contains(directed_key(src, dst)) ||
+                        blocked_pairs_.contains(pair_key(src, dst)));
 }
 
 double FlowNetwork::latency(NodeId src, NodeId dst) const {

@@ -80,7 +80,7 @@ class FlowNetwork {
 
   /// Currently partitioned node pairs.
   [[nodiscard]] std::size_t blocked_pair_count() const {
-    return blocked_pairs_.size();
+    return blocked_pairs_.keys.size();
   }
 
   /// Conservation + capacity audit for the invariant registry: requested
@@ -106,15 +106,19 @@ class FlowNetwork {
     return nodes_[node].degrade;
   }
 
-  /// Blocks (or heals) the unordered pair {a, b}: bulk flows between the
-  /// two nodes are pinned at rate 0 — they neither progress nor consume
-  /// NIC capacity — and resume where they left off once healed.
+  /// Opens (`blocked`) or closes one cut of the unordered pair {a, b}.
+  /// While any cut of the pair is open, bulk flows between the two nodes
+  /// are pinned at rate 0 — they neither progress nor consume NIC
+  /// capacity — and they resume where they left off once the last cut
+  /// closes, so overlapping cuts never heal each other early. Closing a
+  /// cut that is not open does nothing.
   void set_partition(NodeId a, NodeId b, bool blocked);
 
   [[nodiscard]] bool partitioned(NodeId a, NodeId b) const;
 
-  /// Blocks (or heals) the *directed* link src → dst only: bulk flows in
-  /// that direction are pinned at 0 while the reverse direction keeps
+  /// Opens or closes one cut of the *directed* link src → dst only,
+  /// counted like set_partition and apart from it: bulk flows in that
+  /// direction are pinned at 0 while the reverse direction keeps
   /// flowing — the asymmetric (one-way) partition shape real networks
   /// produce (unidirectional link failures, asymmetric routing). Control
   /// planes that probe with symmetric heartbeats stay green while the
@@ -128,7 +132,7 @@ class FlowNetwork {
 
   /// Currently blocked *directed* links (one-way table only).
   [[nodiscard]] std::size_t blocked_oneway_count() const {
-    return blocked_oneway_.size();
+    return blocked_oneway_.keys.size();
   }
 
   /// Gray failure: makes a node's NIC flaky — every `every_nth` bulk flow
@@ -194,10 +198,18 @@ class FlowNetwork {
     return (std::uint64_t{src} << 32) | dst;
   }
 
-  /// Sorted pair_key() values of currently partitioned node pairs.
-  std::vector<std::uint64_t> blocked_pairs_;
-  /// Sorted directed_key() values of one-way-blocked links.
-  std::vector<std::uint64_t> blocked_oneway_;
+  /// Blocked links as sorted keys, each with the number of its cuts that
+  /// are open (always >= 1).
+  struct Cuts {
+    std::vector<std::uint64_t> keys;
+    std::vector<std::uint32_t> open;
+    [[nodiscard]] bool contains(std::uint64_t key) const;
+  };
+  /// Opens or closes one cut of `key`; the flows are re-rated only when
+  /// the key's blocked state changes.
+  void cut(Cuts& cuts, std::uint64_t key, bool open);
+  Cuts blocked_pairs_;   ///< by pair_key()
+  Cuts blocked_oneway_;  ///< by directed_key()
 
   // Progressive-filling scratch state, epoch-stamped per node so a
   // rebalance touches only the nodes its flows traverse (no O(all nodes)

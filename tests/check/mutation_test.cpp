@@ -76,5 +76,66 @@ TEST(MutationCheck, ShrinkerReducesTheLeakCase) {
   EXPECT_NE(repro.find("run_case_checked"), std::string::npos);
 }
 
+TEST(MutationCheck, ShrinkOfTheLeakCaseIsPinned) {
+  // Every structural reduction applies to this case, so the pinned trial
+  // count takes one trial per applicable step of each pass, and the repro
+  // pins where the shrink ends.
+  FuzzCase c = leaky_case();
+  c.nodes = 5;
+  c.faults.racks = 2;
+  c.min_scale = 1;
+  c.prestage = false;
+  c.request_timeout_s = 30;
+  c.outlier_detection = true;
+  c.serverless_fraction = 0.5;
+  c.openloop_users = 2;
+  c.openloop_rate_hz = 1.0;
+  c.catalog_service = true;
+  c.faults.degrade_mean_s = 150;
+
+  const ShrinkResult res = shrink(c, 40);
+  EXPECT_FALSE(res.outcome.ok);
+  EXPECT_EQ(res.trials, 19);
+  EXPECT_EQ(to_cpp_repro(res.reduced), R"repro(// Shrunk fuzz failure — paste into tests/check/ and add the
+// file to the check_test target. Fields are set exhaustively
+// so the case survives future default changes.
+TEST(FuzzRegression, Case0) {
+  sf::check::FuzzCase c;
+  c.id = 0ull;
+  c.seed = 0x2aull;
+  c.fault_seed = 0xc4405eedull;
+  c.nodes = 3;
+  c.workflows = 1;
+  c.tasks = 2;
+  c.dag_retries = 4;
+  c.serverless_fraction = 0;
+  c.prestage = true;
+  c.min_scale = 0;
+  c.request_timeout_s = 0;
+  c.outlier_detection = false;
+  c.catalog_service = false;
+  c.openloop_users = 0;
+  c.openloop_rate_hz = 0;
+  c.faults.horizon_s = 120;
+  c.faults.racks = 1;
+  c.faults.node_crash_mean_s = 25;
+  c.faults.pull_outage_mean_s = 0;
+  c.faults.pod_kill_mean_s = 0;
+  c.faults.degrade_mean_s = 0;
+  c.faults.partition_mean_s = 0;
+  c.faults.rack_fail_mean_s = 0;
+  c.faults.rack_partition_mean_s = 0;
+  c.faults.deploy_storm_mean_s = 0;
+  c.faults.cpu_slow_mean_s = 0;
+  c.faults.flaky_nic_mean_s = 0;
+  c.faults.oneway_partition_mean_s = 0;
+  c.faults.catalog_outage_mean_s = 0;
+  c.plant_claim_leak = true;
+  const auto out = sf::check::run_case_checked(c);
+  EXPECT_TRUE(out.ok) << out.detail;
+}
+)repro");
+}
+
 }  // namespace
 }  // namespace sf::check

@@ -9,6 +9,8 @@
 
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "container/image.hpp"
 #include "knative/serving.hpp"
@@ -306,6 +308,62 @@ TEST_F(OutlierRoutingTest, RouteTimeoutCatchesSilentBackendAndRetries) {
   EXPECT_EQ(serving.ejections("fn"), 1u);
   EXPECT_EQ(serving.route_failures("fn").unresponsive, 1u);
   EXPECT_GE(serving.route_retries("fn"), 1u);
+}
+
+TEST_F(OutlierRoutingTest, LateReplyAfterTheRouteDeadlineIsDiscarded) {
+  // The first pod the router picks answers after 3 s, past the router's
+  // 2 s per-attempt deadline; the other two answer at once. The slow
+  // pod's 200 arrives after the deadline already answered that attempt,
+  // so the router must drop it and each client sees exactly one answer.
+  hub.push(container::make_task_image("matmul"));
+  std::string slow_pod;
+  KnServiceSpec spec;
+  spec.name = "fn";
+  spec.container.name = "fn";
+  spec.container.image = "matmul:latest";
+  spec.container.cpu_limit = 1.0;
+  spec.handler = [this, &slow_pod](const net::HttpRequest&,
+                                   FunctionContext& ctx,
+                                   net::Responder respond) {
+    ++served[ctx.pod_name];
+    if (slow_pod.empty()) slow_pod = ctx.pod_name;
+    const double work = ctx.pod_name == slow_pod ? 3.0 : 0.02;
+    ctx.exec(work, [respond = std::move(respond)](bool ok) mutable {
+      net::HttpResponse resp;
+      resp.status = ok ? 200 : 500;
+      respond(std::move(resp));
+    });
+  };
+  spec.annotations = warm_three();
+  spec.annotations.route_timeout_s = 2.0;
+  serving.create_service(std::move(spec));
+  sim.run_until(30.0);
+  ASSERT_EQ(serving.ready_replicas("fn"), 3);
+
+  constexpr int kRequests = 6;
+  std::vector<int> answers(kRequests, 0);
+  std::vector<int> statuses(kRequests, 0);
+  for (int i = 0; i < kRequests; ++i) {
+    net::HttpRequest req;
+    serving.invoke(cl->node(0).net_id(), "fn", std::move(req),
+                   [&answers, &statuses, i](net::HttpResponse resp) {
+                     ++answers[i];
+                     statuses[i] = resp.status;
+                   });
+    sim.run_until(sim.now() + 5.0);  // the slow pod's late reply lands too
+  }
+  sim.run_until(sim.now() + 10.0);
+  for (int i = 0; i < kRequests; ++i) {
+    EXPECT_EQ(answers[i], 1) << "request " << i;
+    EXPECT_EQ(statuses[i], 200) << "request " << i;
+  }
+  // Round-robin over three pods with one retry per slow hit: requests 0,
+  // 2 and 4 land on the slow pod first and are retried on the next pod.
+  EXPECT_EQ(served[slow_pod], 3);
+  EXPECT_EQ(serving.route_failures("fn").unresponsive, 3u);
+  EXPECT_EQ(serving.route_retries("fn"), 3u);
+  EXPECT_EQ(serving.requests_routed("fn"),
+            static_cast<std::uint64_t>(kRequests));
 }
 
 TEST_F(OutlierRoutingTest, AdmissionBucketSheds429sUnderBurst) {

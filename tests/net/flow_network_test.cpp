@@ -191,6 +191,48 @@ TEST_F(FlowNetworkTest, SymmetricPartitionImpliesBothDirectionsBlocked) {
   EXPECT_FALSE(net.oneway_blocked(a, b));
 }
 
+TEST_F(FlowNetworkTest, OverlappingCutsHealOnlyOnTheSecondClose) {
+  net.set_partition(a, b, true);
+  net.set_partition(b, a, true);  // a second cut of the same pair
+  EXPECT_EQ(net.blocked_pair_count(), 1u);
+  double done = -1;
+  net.transfer(a, b, 100.0, [&] { done = sim.now(); });
+  sim.run_until(2.0);
+  net.set_partition(a, b, false);  // one cut is still open
+  EXPECT_TRUE(net.partitioned(a, b));
+  EXPECT_EQ(net.blocked_pair_count(), 1u);
+  sim.run_until(4.0);
+  EXPECT_LT(done, 0);  // still pinned at rate 0
+  net.set_partition(a, b, false);
+  EXPECT_FALSE(net.partitioned(a, b));
+  EXPECT_EQ(net.blocked_pair_count(), 0u);
+  sim.run();
+  EXPECT_NEAR(done, 5.0, 1e-6);  // 100 B at full rate from the heal at 4 s
+  EXPECT_TRUE(net.self_check().empty());
+}
+
+TEST_F(FlowNetworkTest, OverlappingOnewayCutsHealOnlyOnTheSecondClose) {
+  net.set_partition_oneway(a, b, true);
+  net.set_partition_oneway(a, b, true);
+  net.set_partition_oneway(b, a, true);  // the reverse link counts apart
+  EXPECT_EQ(net.blocked_oneway_count(), 2u);
+  double done = -1;
+  net.transfer(a, b, 100.0, [&] { done = sim.now(); });
+  sim.run_until(2.0);
+  net.set_partition_oneway(a, b, false);
+  net.set_partition_oneway(b, a, false);
+  EXPECT_TRUE(net.oneway_blocked(a, b));
+  EXPECT_FALSE(net.oneway_blocked(b, a));
+  EXPECT_EQ(net.blocked_oneway_count(), 1u);
+  sim.run_until(4.0);
+  EXPECT_LT(done, 0);
+  net.set_partition_oneway(a, b, false);
+  EXPECT_FALSE(net.oneway_blocked(a, b));
+  EXPECT_EQ(net.blocked_oneway_count(), 0u);
+  sim.run();
+  EXPECT_NEAR(done, 5.0, 1e-6);
+}
+
 TEST_F(FlowNetworkTest, OnewayPartitionBadArgsThrow) {
   EXPECT_THROW(net.set_partition_oneway(a, a, true), std::invalid_argument);
   EXPECT_THROW(net.set_partition_oneway(a, 999, true),
